@@ -8,6 +8,7 @@ rate 0.1 with Soteriou traffic (p=0.02, sigma=0.4).
 
 from repro.bench import HEAVY_POLICY, benchmark_spec
 from repro.core import DesignSpaceExplorer
+from repro.experiments import Runner, scenario_family
 from repro.tech import Technology
 from repro.util import format_table
 
@@ -17,6 +18,38 @@ def explore_design_space():
     """Evaluate the full Fig. 5 grid on a fresh explorer (cold cache, so
     calibrated repeats time real evaluations, not cache hits)."""
     return DesignSpaceExplorer().explore()
+
+
+def _fig5a_scenarios():
+    return scenario_family(
+        "paper-grid",
+        hops_options=(3,),
+        base_technologies=(Technology.ELECTRONIC,),
+        seed=1,
+    )
+
+
+@benchmark_spec(
+    "analytical_fig5a_sweep",
+    setup=_fig5a_scenarios,
+    points=4,
+    tags=("perf", "smoke"),
+)
+def run_fig5a_sweep(scenarios):
+    """``Runner.run`` of the four Fig. 5a points on a fresh cache.
+
+    The runner keeps each topology's routing table for the life of the
+    process, so only the first repeat (the one quick mode times) pays
+    the routing build; later repeats time a second sweep in the same
+    process.
+    """
+    return Runner(jobs=1).run(scenarios)
+
+
+def test_analytical_fig5a_sweep(run_bench):
+    results = run_bench("analytical_fig5a_sweep")
+    clear = {res.scenario.label: res.metrics["clear"] for res in results}
+    assert clear["electronic-base + hyppi x3"] >= 1.8 * clear["electronic-mesh (plain)"]
 
 
 def test_fig5_design_space(run_bench, save_result):

@@ -50,7 +50,7 @@ def _flow_fixture():
     mesh = build_mesh()
     routing = RoutingTable(mesh)
     tm = uniform_traffic(mesh)
-    assign_flows(mesh, tm, routing)  # warm the path cache
+    assign_flows(mesh, tm, routing)  # build the flat all-pairs paths
     return mesh, tm, routing
 
 
@@ -67,9 +67,10 @@ def run_flow_assignment(fixture):
     "routing_table_build", setup=build_mesh, points=256 * 255, tags=("perf", "smoke")
 )
 def run_routing_table_build(mesh):
-    """Full all-pairs routing-table construction on the 16x16 mesh."""
+    """Dense routing build on the 16x16 mesh: next-link LUT plus the flat
+    all-pairs path arrays."""
     rt = RoutingTable(mesh)
-    rt.build_all()
+    rt.flat_paths
     return rt
 
 

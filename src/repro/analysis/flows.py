@@ -91,29 +91,24 @@ def assign_flows(
     if rt.topology is not topo:
         raise ValueError("routing table belongs to a different topology")
 
-    # Vectorized accumulation (the guides' rule: this is the hot loop of
-    # every analytical experiment). Per-pair paths are flattened once into
-    # (pair index, link id) arrays cached on the routing table; each call
-    # then reduces to two np.bincount passes over per-pair rates.
-    flat_pair, flat_link, path_lengths = _flattened_paths(rt)
+    # Vectorized accumulation over the table's flat all-pairs paths
+    # (pair-major, hop-minor): two np.bincount passes over per-hop rates.
+    flat = rt.flat_paths
     n = topo.n_nodes
     m = traffic.matrix
     rates = m.reshape(-1)  # pair index = s * n + d
 
-    pair_rates = rates[flat_pair]
-    link_flow = np.bincount(
-        flat_link, weights=pair_rates, minlength=topo.n_links
-    )
+    pair_rates = rates[flat.pair]
+    link_flow = np.bincount(flat.link, weights=pair_rates, minlength=topo.n_links)
     # Routers: every link arrival enters links[l].dst, plus the source
     # router once per pair.
-    dst_nodes = _link_dst_nodes(rt)
     router_flow = np.bincount(
-        dst_nodes[flat_link], weights=pair_rates, minlength=n
+        rt.link_dst[flat.link], weights=pair_rates, minlength=n
     )
     router_flow += m.sum(axis=1)
 
     total = float(m.sum())
-    mean_hops = float((path_lengths * rates).sum() / total) if total > 0 else 0.0
+    mean_hops = float((flat.length * rates).sum() / total) if total > 0 else 0.0
     return FlowAssignment(
         topology=topo,
         link_flow=link_flow,
@@ -122,45 +117,3 @@ def assign_flows(
         total_traffic=total,
     )
 
-
-def _flattened_paths(rt: RoutingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pair indices, link ids, per-pair path lengths) for all N² pairs.
-
-    Built once per routing table and cached on it (the table is already the
-    per-topology routing cache, so its lifetime is the right scope).
-    """
-    cached = getattr(rt, "_flow_cache", None)
-    if cached is not None:
-        return cached
-    topo = rt.topology
-    n = topo.n_nodes
-    pair_idx: list[int] = []
-    link_ids: list[int] = []
-    lengths = np.zeros(n * n)
-    for s in range(n):
-        for d in range(n):
-            if s == d:
-                continue
-            path = rt.path(s, d)
-            pair = s * n + d
-            lengths[pair] = len(path)
-            pair_idx.extend([pair] * len(path))
-            link_ids.extend(link.link_id for link in path)
-    cache = (
-        np.asarray(pair_idx, dtype=np.int64),
-        np.asarray(link_ids, dtype=np.int64),
-        lengths,
-    )
-    rt._flow_cache = cache  # type: ignore[attr-defined]
-    return cache
-
-
-def _link_dst_nodes(rt: RoutingTable) -> np.ndarray:
-    """Per-link destination-node array, cached on the routing table."""
-    cached = getattr(rt, "_link_dst_cache", None)
-    if cached is None:
-        cached = np.asarray(
-            [l.dst for l in rt.topology.links], dtype=np.int64
-        )
-        rt._link_dst_cache = cached  # type: ignore[attr-defined]
-    return cached

@@ -78,17 +78,21 @@ def average_latency_cycles(
     total = m.sum()
     if total == 0:
         raise ValueError("cannot average latency over zero traffic")
-    weighted = 0.0
-    n = topo.n_nodes
-    for s in range(n):
-        nz = np.nonzero(m[s])[0]
-        for d in nz:
-            weighted += m[s, d] * path_latency_cycles(
-                topo,
-                s,
-                int(d),
-                rt,
-                router_pipeline=router_pipeline,
-                packet_flits=packet_flits,
-            )
+    if packet_flits < 1:
+        raise ValueError(f"packet size must be >= 1 flit, got {packet_flits}")
+    # Per-pair latency: one (router + link) cost per hop, then ejection
+    # and serialization — path_latency_cycles for every pair at once.
+    hop_cost = np.fromiter(
+        (router_pipeline + link_latency_cycles(l.technology) for l in topo.links),
+        dtype=np.float64,
+        count=topo.n_links,
+    )
+    flat = rt.flat_paths
+    pair_latency = np.bincount(
+        flat.pair, weights=hop_cost[flat.link], minlength=topo.n_nodes**2
+    )
+    pair_latency += router_pipeline + packet_flits - 1
+    # A sequential left-to-right sum (not numpy's pairwise one) keeps the
+    # traffic-weighted total bit-identical to the per-pair loop.
+    weighted = np.cumsum(m.ravel() * pair_latency)[-1]
     return float(weighted / total)

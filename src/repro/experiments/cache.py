@@ -183,36 +183,36 @@ class EvaluationCache:
     def flush(self, path: str | pathlib.Path, *, timeout: float = 10.0) -> int:
         """Merge this cache into the file at ``path`` under a lock.
 
-        The concurrent-writer checkpoint primitive: read the current
-        on-disk entries (if any), union them with this cache's (memory
-        wins on hash collisions — entries are content-addressed, so a
-        collision is the same metrics anyway), and atomically publish
-        the merged set, all while holding ``path``'s sidecar lock file.
-        The in-memory store absorbs the merged view, so concurrent
-        flushers converge on the union instead of overwriting each
-        other. Returns the merged entry count.
+        The concurrent-writer checkpoint primitive: merge the current
+        on-disk entries (if any) into this cache in place (memory wins
+        on hash collisions — entries are content-addressed, so a
+        collision is the same metrics anyway), and atomically publish a
+        snapshot of the union, all while holding ``path``'s sidecar lock
+        file. Concurrent flushers converge on the union instead of
+        overwriting each other, and a :meth:`put` from another thread
+        during the flush stays in memory for the next one. Returns the
+        published entry count.
         """
         start = time.perf_counter()
         p = pathlib.Path(path)
         with _file_lock(p, timeout):
-            merged: dict[str, dict[str, Any]] = {}
             if p.exists():
-                merged.update(self._parse(p)["entries"])
-            merged.update(self._store)
-            payload = {"version": _FORMAT_VERSION, "entries": merged}
+                for key, entry in self._parse(p)["entries"].items():
+                    self._store.setdefault(key, entry)
+            snapshot = dict(self._store)
+            payload = {"version": _FORMAT_VERSION, "entries": snapshot}
             _atomic_write_text(
                 p, json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
-        self._store = merged
-        _ENTRIES.set(len(merged))
+        _ENTRIES.set(len(self._store))
         _FLUSHES.inc()
         elapsed_ms = (time.perf_counter() - start) * 1e3
         _FLUSH_MS.observe(elapsed_ms)
         _log.debug(
             "cache flushed",
-            extra=fields(path=str(p), entries=len(merged), ms=round(elapsed_ms, 3)),
+            extra=fields(path=str(p), entries=len(snapshot), ms=round(elapsed_ms, 3)),
         )
-        return len(merged)
+        return len(snapshot)
 
     @staticmethod
     def _parse(path: pathlib.Path) -> dict[str, Any]:

@@ -72,10 +72,11 @@ def _materialize(spec: TopologySpec) -> tuple[Topology, RoutingTable]:
     """Build (topology, routing) once per distinct spec in this process.
 
     Multi-point sweeps share one topology across many scenarios; reusing
-    the routing table keeps its memoized path cache warm instead of
-    rebuilding it per point (the routing-table build is a tracked hot
-    path). Sharing is safe: both objects are immutable with respect to
-    evaluation, and the path memo is deterministic.
+    the routing table keeps its LUT and flat all-pairs path arrays
+    instead of rebuilding them per point (the routing-table build is a
+    tracked hot path). Sharing is safe: both objects are immutable with
+    respect to evaluation, and the lazily built path arrays are
+    deterministic.
     """
     topo = spec.build()
     return topo, RoutingTable(topo)
@@ -85,8 +86,8 @@ def _materialize(spec: TopologySpec) -> tuple[Topology, RoutingTable]:
 def _materialize_batched(spec: TopologySpec, cfg):
     """One shared :class:`BatchSimulator` per (topology, SimConfig) family.
 
-    The batched engine's family tables (link layout, dense routing LUT,
-    dateline VC ranges) are built once here and amortized across every
+    The batched engine's family tables (link layout, dateline VC
+    ranges) are built once here and amortized across every
     scenario of the family — single runs and grouped sweeps alike.
     """
     from repro.simulation.batch import BatchSimulator

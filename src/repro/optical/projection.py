@@ -103,7 +103,8 @@ def _all_optical_projection(
     laser_fj = path_laser_energy_fj_per_bit(technology, avg_loss_db)
 
     # Average routers traversed = mean hops + 1.
-    dist = traffic.mean_distance(_hop_matrix(topo, routing))
+    n = topo.n_nodes
+    dist = traffic.mean_distance(routing.flat_paths.length.reshape(n, n))
     routers_on_path = dist + 1.0
     control_fj = router.control_energy_fj_per_bit() * routers_on_path
     energy_fj = laser_fj + control_fj
@@ -127,18 +128,6 @@ def _all_optical_projection(
         energy_per_bit_fj=energy_fj,
         area_mm2=area_mm2,
     )
-
-
-def _hop_matrix(topo, routing):
-    import numpy as np
-
-    n = topo.n_nodes
-    m = np.zeros((n, n))
-    for s in range(n):
-        for d in range(n):
-            if s != d:
-                m[s, d] = routing.hop_count(s, d)
-    return m
 
 
 def project_all_optical(

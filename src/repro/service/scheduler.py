@@ -130,6 +130,11 @@ class ExperimentScheduler:
         self.result_store = ResultStore(self.state_dir / "releases")
         self._poll_interval = poll_interval
         self._lock = threading.RLock()
+        # A job publishes its terminal state inside its service.job span
+        # and its spans are captured only after that span closes;
+        # job_spans() waits on this for the job being executed.
+        self._spans_captured = threading.Condition(self._lock)
+        self._executing: str | None = None
         self._records: dict[str, JobRecord] = {}
         self._scenarios: dict[str, list[Scenario]] = {}
         self._metrics: dict[str, list[dict[str, Any]]] = {}
@@ -533,6 +538,10 @@ class ExperimentScheduler:
         with self._lock:
             if job_id not in self._records:
                 raise JobNotFound(job_id)
+            if self._records[job_id].state in ("done", "failed"):
+                self._spans_captured.wait_for(
+                    lambda: self._executing != job_id, timeout=30.0
+                )
             return list(self._job_spans.get(job_id, []))
 
     def alerts_json(self) -> dict[str, Any]:
@@ -592,6 +601,7 @@ class ExperimentScheduler:
     def _execute(self, job_id: str) -> None:
         """Run one job inside a ``service.job`` span; capture its trace."""
         with self._lock:
+            self._executing = job_id
             enqueued = self._enqueued_at.pop(job_id, None)
             trace_parent = self._trace_parents.pop(job_id, None)
         if enqueued is not None:
@@ -608,6 +618,8 @@ class ExperimentScheduler:
             self.tracker.job_finished(job_id)
         with self._lock:
             self._job_spans[job_id] = take_spans()
+            self._executing = None
+            self._spans_captured.notify_all()
 
     def _execute_inner(self, job_id: str) -> None:
         with self._lock:

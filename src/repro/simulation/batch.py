@@ -23,8 +23,8 @@ fixtures and the Hypothesis differential tests pin that.
 
 How the vectorized pass stays exact:
 
-* **Shared family state.** Topology link tables, the fully memoized
-  routing LUT, dateline VC ranges and per-flit energy figures are
+* **Shared family state.** Topology link tables, the routing table's
+  next-link LUT, dateline VC ranges and per-flit energy figures are
   computed once per (topology, config) *family* and shared by every run
   in every batch — not rebuilt per run as the interpreter does.
 * **Batch lockstep.** Per-(run, router, port, VC) state lives in arrays
@@ -185,14 +185,8 @@ class _Family:
             dest[link.link_id] = base + in_keys[node].index(link.link_id) * v
         self.dest_slot = dest
 
-        # Dense routing LUT: memoized RoutingTable.next_link for every
-        # (node, destination) pair, shared by every run of the family.
-        lut = np.full((n, n), -1, dtype=np.int64)
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    lut[src, dst] = routing.next_link(src, dst).link_id
-        self.route_lut = lut
+        # The routing table's dense next-link LUT, shared by every run.
+        self.route_lut = routing.route_lut
 
         self._energy_weights: tuple[list[float], list[float]] | None = None
         self.topology = topo
@@ -338,9 +332,9 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
 class BatchSimulator:
     """Batched vectorized engine over one (topology, config) family.
 
-    Construction precomputes the family tables (link maps, full routing
-    LUT, dateline VC ranges); :meth:`run_batch` then evaluates many
-    traces through the shared state, and :meth:`run` is the
+    Construction precomputes the family tables (link maps, dateline VC
+    ranges) and borrows the routing table's LUT; :meth:`run_batch` then
+    evaluates many traces through the shared state, and :meth:`run` is the
     drop-in single-run equivalent of
     :meth:`repro.simulation.Simulator.run` (same ``SimStats``,
     bit-for-bit).

@@ -26,8 +26,8 @@ matters — ``repro bench run --name simulator_run`` is the measurement): per
 cycle the simulator touches only *occupied* VCs of *active* routers and only
 sources with injection work, so cost scales with in-flight flits rather than
 network size. The hot loop additionally works off precomputed per-link
-tables (destination, express flag, dateline VC ranges), a memoized route
-cache shared across runs, flattened per-router VC scan lists, plain-int
+tables (destination, express flag, dateline VC ranges), the routing
+table's next-link LUT, flattened per-router VC scan lists, plain-int
 statistics counters (converted to numpy once at the end) and a preallocated
 latency buffer, and fast-forwards over event-free stretches of the clock.
 All of this is observably identical to the straightforward loop — scan
@@ -173,8 +173,9 @@ class Simulator:
         )
         self._routers: list[RouterState] = []
         # Hot-loop tables (immutable per simulator): per-link destination /
-        # source nodes, express flags, per-class dateline VC ranges, and a
-        # (node, dst) -> out-port cache memoizing RoutingTable.next_link.
+        # source nodes, express flags, per-class dateline VC ranges, and
+        # the routing table's next-link LUT (a memoryview: indexing it
+        # yields plain ints without copying the n x n array).
         self._link_dst = [l.dst for l in topo.links]
         self._link_src = [l.src for l in topo.links]
         self._link_is_express = [l.kind is LinkKind.EXPRESS for l in topo.links]
@@ -182,7 +183,7 @@ class Simulator:
             [self._vc_range(0, l.link_id) for l in topo.links],
             [self._vc_range(1, l.link_id) for l in topo.links],
         )
-        self._route_cache: dict[tuple[int, int], int] = {}
+        self._route_lut = memoryview(self.routing.route_lut)
 
     def _fresh_routers(self) -> list[RouterState]:
         """Build pristine router state (run() starts from a cold network)."""
@@ -196,17 +197,6 @@ class Simulator:
             )
             for node in range(self.topology.n_nodes)
         ]
-
-    def _route_out_port(self, node: int, packet: Packet) -> int:
-        """Output port key (link id or LOCAL_PORT) for ``packet`` at ``node``."""
-        if node == packet.dst:
-            return LOCAL_PORT
-        key = (node, packet.dst)
-        out = self._route_cache.get(key)
-        if out is None:
-            out = self.routing.next_link(node, packet.dst).link_id
-            self._route_cache[key] = out
-        return out
 
     def _vc_range(self, vc_class: int, out_key: int) -> tuple[int, int] | None:
         """Dateline VC partition for a packet class (None = all VCs).
@@ -336,8 +326,7 @@ class Simulator:
         link_is_express = self._link_is_express
         is_row_link = self._is_row_link
         vc_range_cls0, vc_range_cls1 = self._vc_range_tab
-        route_cache = self._route_cache
-        route_out_port = self._route_out_port
+        route_lut = self._route_lut
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -558,11 +547,7 @@ class Simulator:
                         if node == dst:
                             out_key = LOCAL_PORT
                         else:
-                            # Fast path inline; _route_out_port fills the
-                            # cache on miss (single owner of that logic).
-                            out_key = route_cache.get((node, dst))
-                            if out_key is None:
-                                out_key = route_out_port(node, pkt)
+                            out_key = route_lut[node, dst]
                         out_port = out_ports[out_key]
                         # Dateline promotion happens when *requesting* the
                         # VC behind an express link, so the express input

@@ -19,6 +19,13 @@ function depends only on (current column, destination column), making
 routing memoryless — the cycle simulator's per-hop lookups and the
 analytical path enumeration provably agree.
 
+The whole routing function is held as arrays: a dense next-link LUT
+(``route_lut[node, dst]``) read by both simulator engines, and the
+all-pairs paths flattened into pair-major link arrays
+(:class:`FlatPaths`) read by the analytical flow, latency and power
+evaluation. The per-pair ``path``/``next_link`` accessors are views of
+those arrays.
+
 Deadlock note: detour routes create torus-like cyclic channel dependencies
 in a wormhole network; the simulator breaks them with dateline VC classes
 (see :mod:`repro.simulation.simulator`).
@@ -27,41 +34,44 @@ in a wormhole network; the simulator breaks them with dateline VC classes
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.topology.graph import Link, LinkKind, Topology
 
-__all__ = ["route_path", "RoutingTable"]
+__all__ = ["route_path", "FlatPaths", "RoutingTable"]
+
+LineGraph = dict[int, list[tuple[int, bool]]]
 
 
-def _build_line_graph(
-    topo: Topology, dimension: int, index: int
-) -> dict[int, list[tuple[int, bool]]]:
-    """Adjacency of one grid line: position -> [(next_pos, is_express)].
+def _line_graphs(topo: Topology) -> tuple[list[LineGraph], list[LineGraph]]:
+    """Adjacency of every grid line: position -> [(next_pos, is_express)].
 
-    ``dimension`` 0 = row ``index`` (column positions); ``dimension`` 1 =
-    column ``index`` (row positions). Lines are handled individually so
-    heterogeneous express placements (different rows owning different
-    express links) route correctly.
+    Returns ``(rows, cols)``: ``rows[y]`` over column positions and
+    ``cols[x]`` over row positions, built in one pass over the links.
+    Lines are handled individually so heterogeneous express placements
+    (different rows owning different express links) route correctly.
     """
-    size = topo.width if dimension == 0 else topo.height
-    neighbors: dict[int, list[tuple[int, bool]]] = {c: [] for c in range(size)}
+    rows: list[LineGraph] = [
+        {c: [] for c in range(topo.width)} for _ in range(topo.height)
+    ]
+    cols: list[LineGraph] = [
+        {r: [] for r in range(topo.height)} for _ in range(topo.width)
+    ]
     for link in topo.links:
         sx, sy = topo.coords(link.src)
         dx, dy = topo.coords(link.dst)
-        if dimension == 0:
-            if sy != index or dy != index:
-                continue
-            neighbors[sx].append((dx, link.kind is LinkKind.EXPRESS))
-        else:
-            if sx != index or dx != index:
-                continue
-            neighbors[sy].append((dy, link.kind is LinkKind.EXPRESS))
-    return neighbors
+        express = link.kind is LinkKind.EXPRESS
+        if sy == dy:
+            rows[sy][sx].append((dx, express))
+        elif sx == dx:
+            cols[sx][sy].append((dy, express))
+    return rows, cols
 
 
-def _line_next_hop_table(
-    topo: Topology, dimension: int, index: int
-) -> list[list[int]]:
+def _line_next_hop_table(adj: LineGraph) -> list[list[int]]:
     """``next_pos[cur][dst]`` for one grid line (-1 when cur == dst).
 
     BFS distances from every destination; among shortest-path neighbours
@@ -70,11 +80,10 @@ def _line_next_hop_table(
     ascending position order — so plain-mesh behaviour falls out wherever a
     detour does not strictly win.
     """
-    width = topo.width if dimension == 0 else topo.height
-    adj = _build_line_graph(topo, dimension, index)
-    # dist[d][c]: hops from column c to destination column d.
+    width = len(adj)
     table = [[-1] * width for _ in range(width)]
     for dst in range(width):
+        # dist[c]: hops from position c to destination position dst.
         dist = [-1] * width
         dist[dst] = 0
         queue = deque([dst])
@@ -120,56 +129,153 @@ def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
     return RoutingTable(topo).path_list(src, dst)
 
 
+class FlatPaths(NamedTuple):
+    """All-pairs routes as flat arrays, in pair-major, hop-minor order.
+
+    A *pair index* is ``src * n_nodes + dst``. Hop ``k`` of pair ``p``
+    sits at flat position ``start[p] + k``.
+
+    Attributes:
+        pair: pair index of every hop, shape ``(n_hops,)``.
+        link: link id of every hop, shape ``(n_hops,)``.
+        length: hops per pair (0 on the diagonal), shape ``(n_nodes**2,)``.
+        start: flat position of each pair's first hop, same shape.
+    """
+
+    pair: np.ndarray
+    link: np.ndarray
+    length: np.ndarray
+    start: np.ndarray
+
+
 class RoutingTable:
     """All-pairs deterministic router for one topology.
 
-    Paths are derived from a per-row next-hop table (X phase) plus monotone
-    Y steps, memoized per (src, dst).
+    Per-line next-hop tables (X phase along the row, then Y along the
+    column) are compiled into :attr:`route_lut`; :attr:`flat_paths` walks
+    every pair through it in lockstep, once, on first use.
     """
 
     def __init__(self, topo: Topology):
         self.topology = topo
-        self._row_next = [
-            _line_next_hop_table(topo, 0, y) for y in range(topo.height)
-        ]
-        self._col_next = [
-            _line_next_hop_table(topo, 1, x) for x in range(topo.width)
-        ]
-        self._paths: dict[tuple[int, int], tuple[Link, ...]] = {}
+        rows, cols = _line_graphs(topo)
+        # Lines with identical link sets share one BFS (every row of a
+        # uniform express mesh does).
+        tables: dict[tuple, list[list[int]]] = {}
 
-    def _next_node(self, current: int, dst: int) -> int:
-        """Next node on the route (X phase via the row's table, then Y via
-        the column's table — both support express/wrap detours, and every
-        line has its own table so heterogeneous placements route right)."""
+        def table(adj: LineGraph) -> list[list[int]]:
+            key = tuple(map(tuple, adj.values()))
+            if key not in tables:
+                tables[key] = _line_next_hop_table(adj)
+            return tables[key]
+
+        self._row_next = [table(adj) for adj in rows]
+        self._col_next = [table(adj) for adj in cols]
+        #: Per-link destination node.
+        self.link_dst = np.fromiter(
+            (l.dst for l in topo.links), dtype=np.int64, count=topo.n_links
+        )
+        #: ``route_lut[node, dst]``: the link id a router at ``node``
+        #: forwards toward ``dst`` (-1 on the diagonal).
+        self.route_lut = self._build_lut()
+
+    def _build_lut(self) -> np.ndarray:
         topo = self.topology
-        cx, cy = topo.coords(current)
-        dx, dy = topo.coords(dst)
-        if cx != dx:
-            return topo.node_id(self._row_next[cy][cx][dx], cy)
-        return topo.node_id(cx, self._col_next[cx][cy][dy])
+        w, h, n = topo.width, topo.height, topo.n_nodes
+        # Links sorted by (src, dst) key; the stable sort puts the lowest
+        # id first among parallel links, which is the one routing takes.
+        link_keys = np.fromiter(
+            (l.src * n + l.dst for l in topo.links), dtype=np.int64, count=topo.n_links
+        )
+        order = np.argsort(link_keys, kind="stable")
+        sorted_keys = link_keys[order]
+
+        def step_links(src, dst, valid):
+            """Link id of each node step ``src -> dst`` (-1 where not valid)."""
+            keys = np.where(valid, src * n + dst, -1)
+            pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+            missing = valid & (sorted_keys[pos] != keys)
+            if missing.any():  # pragma: no cover - adjacency invariant
+                s, d = divmod(int(keys[missing][0]), n)
+                raise RuntimeError(f"no link {s} -> {d}")
+            return np.where(valid, order[pos], -1)
+
+        xs, ys = np.arange(w), np.arange(h)
+        row_next = np.asarray(self._row_next, dtype=np.int64)  # [y, cx, dx]
+        col_next = np.asarray(self._col_next, dtype=np.int64)  # [x, cy, dy]
+        # The X step from (cx, y) toward column dx, and the Y step from
+        # (x, cy) toward row dy.
+        row_link = step_links(
+            ys[:, None, None] * w + xs[None, :, None],
+            ys[:, None, None] * w + row_next,
+            row_next >= 0,
+        )
+        col_link = step_links(
+            ys[None, :, None] * w + xs[:, None, None],
+            col_next * w + xs[:, None, None],
+            col_next >= 0,
+        )
+        # lut[(cy, cx), (dy, dx)]: the X step while cx != dx, else the Y
+        # step (-1 on the diagonal, where the Y table has no step either).
+        same_col = np.eye(w, dtype=bool)[None, :, None, :]
+        lut = np.where(
+            same_col, col_link.transpose(1, 0, 2)[..., None], row_link[:, :, None, :]
+        ).reshape(n, n)
+        lut.flags.writeable = False
+        return lut
+
+    @cached_property
+    def flat_paths(self) -> FlatPaths:
+        """Every pair's path, walked in lockstep through the LUT."""
+        topo = self.topology
+        n = topo.n_nodes
+        src, dst = np.nonzero(~np.eye(n, dtype=bool))
+        pair = src * n + dst
+        cur = src
+        hop_pairs: list[np.ndarray] = []
+        hop_links: list[np.ndarray] = []
+        limit = 4 * (topo.width + topo.height)
+        while pair.size:
+            if len(hop_pairs) == limit:  # pragma: no cover - LUT invariant
+                s, d = divmod(int(pair[0]), n)
+                raise RuntimeError(f"routing loop from {s} to {d}")
+            link = self.route_lut[cur, dst]
+            hop_pairs.append(pair)
+            hop_links.append(link)
+            cur = self.link_dst[link]
+            going = cur != dst
+            pair, cur, dst = pair[going], cur[going], dst[going]
+        length = np.bincount(np.concatenate(hop_pairs), minlength=n * n)
+        start = np.cumsum(length) - length
+        flat_link = np.empty(int(length.sum()), dtype=np.int64)
+        for k, (p, link) in enumerate(zip(hop_pairs, hop_links)):
+            flat_link[start[p] + k] = link
+        flat = FlatPaths(
+            pair=np.repeat(np.arange(n * n, dtype=np.int64), length),
+            link=flat_link,
+            length=length,
+            start=start,
+        )
+        for arr in flat:
+            arr.flags.writeable = False
+        return flat
+
+    def _pair(self, src: int, dst: int) -> int:
+        n = self.topology.n_nodes
+        for node in (src, dst):
+            if not 0 <= node < n:
+                raise ValueError(f"node {node} outside 0..{n - 1}")
+        return src * n + dst
 
     def path(self, src: int, dst: int) -> tuple[Link, ...]:
-        """Ordered links from ``src`` to ``dst`` (cached)."""
-        key = (src, dst)
-        cached = self._paths.get(key)
-        if cached is None:
-            topo = self.topology
-            links: list[Link] = []
-            node = src
-            guard = 0
-            while node != dst:
-                nxt = self._next_node(node, dst)
-                link = topo.find_link(node, nxt)
-                if link is None:  # pragma: no cover - adjacency invariant
-                    raise RuntimeError(f"no link {node} -> {nxt}")
-                links.append(link)
-                node = nxt
-                guard += 1
-                if guard > 4 * (topo.width + topo.height):  # pragma: no cover
-                    raise RuntimeError(f"routing loop from {src} to {dst}")
-            cached = tuple(links)
-            self._paths[key] = cached
-        return cached
+        """Ordered links from ``src`` to ``dst``."""
+        p = self._pair(src, dst)
+        flat = self.flat_paths
+        lo = int(flat.start[p])
+        links = self.topology.links
+        return tuple(
+            links[i] for i in flat.link[lo : lo + int(flat.length[p])].tolist()
+        )
 
     def path_list(self, src: int, dst: int) -> list[Link]:
         """``path`` as a fresh list (the legacy ``route_path`` contract)."""
@@ -177,7 +283,7 @@ class RoutingTable:
 
     def hop_count(self, src: int, dst: int) -> int:
         """Number of links traversed from ``src`` to ``dst``."""
-        return len(self.path(src, dst))
+        return int(self.flat_paths.length[self._pair(src, dst)])
 
     def next_link(self, current: int, dst: int) -> Link:
         """The link a router at ``current`` forwards toward ``dst``.
@@ -186,17 +292,9 @@ class RoutingTable:
         """
         if current == dst:
             raise ValueError("already at destination")
-        topo = self.topology
-        nxt = self._next_node(current, dst)
-        link = topo.find_link(current, nxt)
-        if link is None:  # pragma: no cover - adjacency invariant
-            raise RuntimeError(f"no link {current} -> {nxt}")
-        return link
+        self._pair(current, dst)
+        return self.topology.links[int(self.route_lut[current, dst])]
 
     def build_all(self) -> None:
-        """Force-populate the full all-pairs table."""
-        n = self.topology.n_nodes
-        for s in range(n):
-            for d in range(n):
-                if s != d:
-                    self.path(s, d)
+        """Force-build the all-pairs path arrays."""
+        self.flat_paths

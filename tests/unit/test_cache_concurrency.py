@@ -78,6 +78,88 @@ class TestConcurrentFlush:
         assert final.get(_point(0, 0)) == {"x": 1}
         assert final.get(_point(0, 1)) == {"x": 2}
 
+    def test_put_during_flush_survives(self, tmp_path, monkeypatch):
+        """A put from another thread inside the flush window is kept.
+
+        The service's dispatcher flushes the shared cache while the sweep
+        thread keeps putting points into it. Wrapping the publish step
+        lands a put deterministically between the flush's snapshot and
+        its return; the entry must stay in memory and reach the file on
+        the next flush.
+        """
+        from repro.experiments import cache as cache_mod
+
+        path = tmp_path / "cache.json"
+        shared = EvaluationCache()
+        shared.put(_point(0, 0), {"x": 0})
+        late = _point(0, 1)
+        publish = cache_mod._atomic_write_text
+
+        def publish_then_put(target, text):
+            publish(target, text)
+            shared.put(late, {"x": 1})
+
+        monkeypatch.setattr(cache_mod, "_atomic_write_text", publish_then_put)
+        assert shared.flush(path) == 1
+        monkeypatch.undo()
+        assert shared.get(late) == {"x": 1}
+        assert shared.flush(path) == 2
+        assert EvaluationCache.load(path).get(late) == {"x": 1}
+
+    def test_puts_racing_flushes_on_shared_cache_lose_nothing(self, tmp_path):
+        """Sweep threads putting while a dispatcher thread flushes."""
+        import sys
+
+        path = tmp_path / "cache.json"
+        shared = EvaluationCache()
+        writers, per_writer = 3, 40
+        done = threading.Event()
+        errors: list[Exception] = []
+
+        def put_all(worker: int) -> None:
+            for i in range(per_writer):
+                shared.put(_point(worker, i), {"i": i})
+
+        def flush_loop() -> None:
+            try:
+                while not done.is_set():
+                    shared.flush(path)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            flusher = threading.Thread(target=flush_loop)
+            putters = [
+                threading.Thread(target=put_all, args=(w,)) for w in range(writers)
+            ]
+            flusher.start()
+            for t in putters:
+                t.start()
+            for t in putters:
+                t.join(timeout=60)
+            done.set()
+            flusher.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not flusher.is_alive()
+        assert not any(t.is_alive() for t in putters)
+        assert errors == []
+        assert len(shared) == writers * per_writer
+        shared.flush(path)
+        assert len(EvaluationCache.load(path)) == writers * per_writer
+
+    def test_flush_keeps_memory_entry_on_collision(self, tmp_path):
+        path = tmp_path / "cache.json"
+        disk, mem = EvaluationCache(), EvaluationCache()
+        disk.put(_point(0, 0), {"x": "disk"})
+        disk.flush(path)
+        mem.put(_point(0, 0), {"x": "memory"})
+        mem.flush(path)
+        assert mem.get(_point(0, 0)) == {"x": "memory"}
+        assert EvaluationCache.load(path).get(_point(0, 0)) == {"x": "memory"}
+
     def test_file_is_always_complete_json(self, tmp_path):
         path = tmp_path / "cache.json"
         stop = threading.Event()

@@ -405,6 +405,27 @@ class TestScheduler:
         with pytest.raises(JobNotFound):
             sched.job_spans("job-999999")
 
+    def test_job_spans_wait_for_capture_after_done(self, tmp_path, monkeypatch):
+        """A job reads 'done' before its span closes and is captured; a
+        caller that sees 'done' must still get the job's whole trace."""
+        import time
+
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        finished = sched.tracker.job_finished
+
+        def slow_job_finished(job_id):
+            time.sleep(0.2)  # widen the gap between 'done' and the capture
+            finished(job_id)
+
+        monkeypatch.setattr(sched.tracker, "job_finished", slow_job_finished)
+        try:
+            record = sched.submit(quick_request())
+            sched.wait(record.job_id, timeout=120)
+            names = {s.name for s in sched.job_spans(record.job_id)}
+        finally:
+            sched.stop()
+        assert {"service.job", "runner.sweep", "runner.point"} <= names
+
     def test_uptime_and_queue_depth(self, tmp_path):
         sched = ExperimentScheduler(tmp_path, auto_start=False)
         assert sched.uptime_s() >= 0
