@@ -13,7 +13,7 @@ home instead of a hand-rolled serial loop per layer:
   process-pool executors; per-scenario seeds make serial and parallel
   runs bit-identical;
 * :mod:`repro.experiments.cache` — an :class:`EvaluationCache` keyed on
-  the scenario's stable content hash, persistable as JSON.
+  the scenario's stable content hash, persisted as an append-only log.
 
 The DSE (:mod:`repro.core.dse`), the CLI (``--jobs``) and the benchmark
 suite all route their evaluation loops through this engine.

@@ -6,15 +6,17 @@ analytical CLEAR points, cycle simulations) are pure functions of their
 metric dictionaries so repeated design points — the plain meshes that
 recur across every express option, a re-run of a benchmark, a CLI
 invocation over a previously-explored grid — cost one dictionary lookup.
-Entries can be persisted as JSON for the analysis/report layer and
-reloaded in a later process (the content hash is process-stable).
 
-Persistence is safe under concurrent writers: :meth:`EvaluationCache.save`
-publishes atomically (temp file + rename, so readers never observe a
-half-written file) and :meth:`EvaluationCache.flush` additionally
-serializes read-merge-write cycles through a sidecar lock file, so two
-runners or service workers checkpointing into the same path union their
-entries instead of silently dropping whichever flush lost the race.
+Entries persist in an append-only NDJSON log, one content-addressed
+entry per line, that later processes reload (the hash is process-stable).
+Appends follow the run ledger's discipline (:mod:`repro.obs.ledger`):
+one ``write()`` of whole lines; readers take complete lines only. Several
+processes may append to one log: ``O_APPEND`` keeps their writes whole
+without a lock. A malformed line (a dead writer's torn tail, sealed by
+the next flush that sees it or glued onto a later append) is skipped and
+counted in ``cache.corrupt_lines``. A checkpoint (:meth:`EvaluationCache.flush`)
+reads only the lines appended since its last read and appends only its
+new entries.
 """
 
 from __future__ import annotations
@@ -24,17 +26,24 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 import time
-from collections.abc import Iterator
 from typing import Any
 
 from repro.experiments.spec import Scenario, scenario_hash, scenario_to_json
+from repro.obs.ledger import complete_lines
 from repro.obs.logs import fields, get_logger
 from repro.obs.metrics import counter, gauge, histogram
 
-__all__ = ["EvaluationCache"]
+__all__ = ["EvaluationCache", "SEMANTICS_EPOCH"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+
+#: Semantics the cached metrics were computed under. Bump it whenever a
+#: golden under ``tests/data/`` is re-recorded (``test_semantics_epoch``
+#: enforces this): log lines of any other epoch are skipped, so a point
+#: computed under older semantics is recomputed, never served.
+SEMANTICS_EPOCH = 1
 
 _log = get_logger("experiments.cache")
 
@@ -46,65 +55,7 @@ _MISSES = counter("cache.misses")
 _ENTRIES = gauge("cache.entries")
 _FLUSHES = counter("cache.flushes")
 _FLUSH_MS = histogram("cache.flush_ms")
-_LOCK_CONTENDED = counter("cache.lock_contention")
-_LOCK_BROKEN = counter("cache.stale_locks_broken")
-
-#: A lock file older than this is assumed to be a dead writer's leftovers.
-_STALE_LOCK_S = 30.0
-
-
-@contextlib.contextmanager
-def _file_lock(path: pathlib.Path, timeout: float) -> Iterator[None]:
-    """Advisory inter-process lock via exclusive sidecar-file creation.
-
-    ``O_CREAT | O_EXCL`` is atomic on every platform/filesystem the repo
-    targets; holders that die leave the lock behind, so acquisition
-    breaks locks older than ``timeout`` seconds rather than deadlocking
-    on a stale file.
-    """
-    lock = path.with_name(path.name + ".lock")
-    deadline = time.monotonic() + timeout
-    contended = False
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if not contended:
-                contended = True
-                _LOCK_CONTENDED.inc()
-                _log.debug(
-                    "cache lock contended",
-                    extra=fields(path=str(path), timeout_s=timeout),
-                )
-            if time.monotonic() >= deadline:
-                try:
-                    age = time.time() - lock.stat().st_mtime
-                except OSError:  # raced with the holder's release; retry
-                    continue
-                # Stale-breaking uses its own (long) threshold so a short
-                # acquisition timeout never steals a *live* writer's lock.
-                if age >= max(timeout, _STALE_LOCK_S):
-                    _LOCK_BROKEN.inc()
-                    _log.warning(
-                        "breaking stale cache lock",
-                        extra=fields(lock=str(lock), age_s=round(age, 3)),
-                    )
-                    with contextlib.suppress(OSError):
-                        lock.unlink()
-                    continue
-                raise TimeoutError(
-                    f"could not lock {path} within {timeout:g}s "
-                    f"(held by another process via {lock})"
-                ) from None
-            time.sleep(0.005)
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        yield
-    finally:
-        os.close(fd)
-        with contextlib.suppress(OSError):
-            lock.unlink()
+_CORRUPT = counter("cache.corrupt_lines")
 
 
 def _atomic_write_text(path: pathlib.Path, text: str) -> None:
@@ -122,11 +73,28 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
         raise
 
 
+def _encode(entries: dict[str, dict[str, Any]]) -> str:
+    """One log line per entry, tagged with the format and epoch."""
+    head = {"version": _FORMAT_VERSION, "epoch": SEMANTICS_EPOCH}
+    return "".join(
+        json.dumps({**head, "key": k, **e}, sort_keys=True, separators=(",", ":")) + "\n"
+        for k, e in entries.items()
+    )
+
+
 class EvaluationCache:
-    """In-memory scenario -> metrics store with JSON persistence."""
+    """In-memory scenario -> metrics store persisted as an append-only log."""
 
     def __init__(self) -> None:
         self._store: dict[str, dict[str, Any]] = {}
+        # Entries the log lacks: put/merge add and flush takes them under
+        # _lock, so a put racing a flush is never lost.
+        self._pending: dict[str, dict[str, Any]] = {}
+        self._lock = threading.Lock()
+        # flush/save own the read cursor: (path, (st_dev, st_ino), bytes
+        # of complete lines read, bytes read including a torn tail).
+        self._flush_lock = threading.Lock()
+        self._cursor: tuple[pathlib.Path, tuple[int, int], int, int] | None = None
         self.hits = 0
         self.misses = 0
 
@@ -149,15 +117,17 @@ class EvaluationCache:
 
     def put(self, scenario: Scenario, metrics: dict[str, Any]) -> None:
         """Store ``metrics`` for ``scenario`` (overwrites silently)."""
-        self._store[scenario_hash(scenario)] = {
-            "scenario": scenario_to_json(scenario),
-            "metrics": dict(metrics),
-        }
-        _ENTRIES.set(len(self._store))
+        key = scenario_hash(scenario)
+        entry = {"scenario": scenario_to_json(scenario), "metrics": dict(metrics)}
+        with self._lock:
+            self._store[key] = self._pending[key] = entry
+            _ENTRIES.set(len(self._store))
 
     def clear(self) -> None:
         """Drop all entries and reset the hit/miss counters."""
-        self._store.clear()
+        with self._lock:
+            self._store.clear()
+            self._pending.clear()
         self.hits = 0
         self.misses = 0
 
@@ -169,65 +139,113 @@ class EvaluationCache:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | pathlib.Path) -> None:
-        """Write all entries to ``path`` as indented, diffable JSON.
+        """Compact the log at ``path``: one line per entry, replaced atomically.
 
-        The write is atomic (temp file + rename): a concurrent
-        :meth:`load` sees either the previous complete file or the new
-        one, never a truncated JSON document.
+        Run it offline: an append by another process, or a put by another
+        thread, during the save may be missing from the new file.
         """
-        payload = {"version": _FORMAT_VERSION, "entries": self._store}
-        _atomic_write_text(
-            pathlib.Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+        p = pathlib.Path(path)
+        with self._flush_lock:
+            _atomic_write_text(p, _encode(dict(sorted(self._store.items()))))
+            self._pending.clear()
+            st = p.stat()
+            self._cursor = (p, (st.st_dev, st.st_ino), st.st_size, st.st_size)
 
-    def flush(self, path: str | pathlib.Path, *, timeout: float = 10.0) -> int:
-        """Merge this cache into the file at ``path`` under a lock.
+    def flush(self, path: str | pathlib.Path) -> int:
+        """Checkpoint into the log at ``path``; returns the entry count.
 
-        The concurrent-writer checkpoint primitive: merge the current
-        on-disk entries (if any) into this cache in place (memory wins
-        on hash collisions — entries are content-addressed, so a
-        collision is the same metrics anyway), and atomically publish a
-        snapshot of the union, all while holding ``path``'s sidecar lock
-        file. Concurrent flushers converge on the union instead of
-        overwriting each other, and a :meth:`put` from another thread
-        during the flush stays in memory for the next one. Returns the
-        published entry count.
+        Merges the lines others appended since the last read (memory
+        wins on a key collision: entries are content-addressed), then
+        appends the entries put or merged since the last flush. A log
+        not read before, or replaced or shrunk since, is read whole, and
+        every entry it lacks is appended too.
         """
         start = time.perf_counter()
         p = pathlib.Path(path)
-        with _file_lock(p, timeout):
-            if p.exists():
-                for key, entry in self._parse(p)["entries"].items():
-                    self._store.setdefault(key, entry)
-            snapshot = dict(self._store)
-            payload = {"version": _FORMAT_VERSION, "entries": snapshot}
-            _atomic_write_text(
-                p, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
-        _ENTRIES.set(len(self._store))
-        _FLUSHES.inc()
+        with self._flush_lock, open(p, "a+b") as log:  # O_APPEND | O_CREAT
+            on_disk = self._read_new(log.fileno(), p)
+            with self._lock:
+                pending, self._pending = self._pending, {}
+                if on_disk is not None:
+                    pending.update((k, e) for k, e in self._store.items() if k not in on_disk)
+                n_entries = len(self._store)
+            if pending:
+                try:
+                    self._append(log.fileno(), _encode(pending).encode())
+                except BaseException:
+                    with self._lock:  # keep them for the next flush
+                        self._pending = {**pending, **self._pending}
+                    raise
         elapsed_ms = (time.perf_counter() - start) * 1e3
+        _FLUSHES.inc()
         _FLUSH_MS.observe(elapsed_ms)
-        _log.debug(
-            "cache flushed",
-            extra=fields(path=str(p), entries=len(snapshot), ms=round(elapsed_ms, 3)),
-        )
-        return len(snapshot)
+        _log.debug("cache flushed", extra=fields(
+            path=str(p), entries=n_entries, appended=len(pending), ms=round(elapsed_ms, 3)))
+        return n_entries
 
-    @staticmethod
-    def _parse(path: pathlib.Path) -> dict[str, Any]:
-        payload = json.loads(path.read_text())
-        version = payload.get("version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported cache format version {version!r}")
-        return payload
+    def _read_new(self, fd: int, path: pathlib.Path) -> set[str] | None:
+        """Merge the complete lines appended to the log since the last read.
+
+        Later lines win; blank lines (see :meth:`_append`) and lines of
+        another format version or epoch are skipped, malformed ones are
+        counted too. Returns the log's keys if read from the start.
+        """
+        st = os.fstat(fd)
+        cur, ident = self._cursor, (st.st_dev, st.st_ino)
+        fresh = cur is None or cur[:2] != (path, ident) or st.st_size < cur[2]
+        offset = 0 if fresh else cur[2]
+        raw = os.pread(fd, st.st_size - offset, offset)
+        if fresh and raw.startswith(b"{"):
+            try:
+                old = json.loads(raw)  # format 1 was one JSON document
+            except ValueError:  # a log of two or more lines
+                old = {}
+            if "entries" in old:
+                raise ValueError(f"{path}: unsupported cache format version {old.get('version')!r}")
+        lines, end = complete_lines(raw)
+        entries: dict[str, dict[str, Any]] = {}
+        corrupt = 0
+        for line in filter(None, lines):
+            try:
+                doc = json.loads(line)
+                if (doc.get("version"), doc.get("epoch")) == (_FORMAT_VERSION, SEMANTICS_EPOCH):
+                    entries[doc["key"]] = {"scenario": doc["scenario"], "metrics": doc["metrics"]}
+            except (ValueError, AttributeError, KeyError, TypeError):
+                corrupt += 1
+        if corrupt:
+            _CORRUPT.inc(corrupt)
+            _log.warning("skipped corrupt cache lines", extra=fields(path=str(path), lines=corrupt))
+        with self._lock:
+            for key, entry in entries.items():
+                self._store.setdefault(key, entry)
+            _ENTRIES.set(len(self._store))
+        self._cursor = (path, ident, offset + end, offset + len(raw))
+        return set(entries) if fresh else None
+
+    def _append(self, fd: int, data: bytes) -> None:
+        """Append ``data`` to the log in one ``write()``.
+
+        A newline first seals a torn tail seen by the last read, so it
+        cannot swallow the first new line (an append still in flight
+        gets a blank line instead). The cursor skips the new lines if
+        nothing else reached the log since that read.
+        """
+        path, ident, complete, seen = self._cursor
+        data = b"\n" * (seen > complete) + data
+        if os.write(fd, data) != len(data):  # the rest is a torn tail
+            raise OSError(f"short write to {path}")
+        if os.fstat(fd).st_size == seen + len(data):
+            self._cursor = (path, ident, seen + len(data), seen + len(data))
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "EvaluationCache":
-        """Rebuild a cache from :meth:`save` output."""
+        """Rebuild a cache from a log (see :meth:`_read_new`).
+
+        A whole-file JSON cache (format 1) raises ``ValueError``.
+        """
         cache = cls()
-        cache._store = dict(cls._parse(pathlib.Path(path))["entries"])
-        _ENTRIES.set(len(cache._store))
+        with open(path, "rb") as log:
+            cache._read_new(log.fileno(), pathlib.Path(path))
         return cache
 
     @classmethod
@@ -237,5 +255,7 @@ class EvaluationCache:
         return cls.load(p) if p.exists() else cls()
 
     def merge(self, other: "EvaluationCache") -> None:
-        """Absorb ``other``'s entries (other wins on key collisions)."""
-        self._store.update(other._store)
+        """Absorb ``other``'s entries (other wins; the next flush appends them)."""
+        with self._lock:
+            self._store.update(other._store)
+            self._pending.update(other._store)

@@ -50,6 +50,7 @@ __all__ = [
     "load_ledger",
     "replay_ledger",
     "export_ledger",
+    "complete_lines",
 ]
 
 LEDGER_FORMAT = "repro.obs.ledger/1"
@@ -93,38 +94,36 @@ _LIFECYCLE_RANK = {
 _VOLATILE_FIELDS = ("t", "worker", "worker_t", "duration_s")
 
 
+def complete_lines(raw: bytes) -> tuple[list[bytes], int]:
+    """The newline-terminated lines of NDJSON bytes, and the length they cover.
+
+    An unterminated final line is dropped: writers emit whole lines in
+    one ``write()``, so it is a torn append even if its prefix parses.
+    """
+    end = raw.rfind(b"\n") + 1
+    return raw[:end].split(b"\n")[:-1], end
+
+
 def _scan(raw: bytes, path: pathlib.Path) -> tuple[list[dict[str, Any]], int]:
     """Parse ledger bytes into events plus the valid-prefix byte length.
 
-    The final line is dropped when unterminated (no trailing newline):
-    our writer emits ``line + "\\n"`` in one write, so an unterminated
-    line is always a torn append — even if its prefix happens to parse.
-    A malformed line anywhere *else* raises ``ValueError``.
+    A torn final line is dropped (:func:`complete_lines`); any other
+    malformed line raises ``ValueError``: a ledger has one writer, so
+    that is real corruption, which must not be silently skipped.
     """
+    lines, end = complete_lines(raw)
     events: list[dict[str, Any]] = []
-    offset = 0
-    lines = raw.split(b"\n")
-    for i, line in enumerate(lines):
-        terminated = i < len(lines) - 1
+    for i, line in enumerate(lines, 1):
         if not line:
-            if not terminated:
-                break  # clean EOF (file ends with newline)
-            raise ValueError(f"{path}: blank line {i + 1} inside ledger")
-        if not terminated:
-            break  # torn tail: unterminated final line, drop it
+            raise ValueError(f"{path}: blank line {i} inside ledger")
         try:
             doc = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(
-                f"{path}: corrupt ledger line {i + 1}: {exc}"
-            ) from exc
+            raise ValueError(f"{path}: corrupt ledger line {i}: {exc}") from exc
         if not isinstance(doc, dict) or "event" not in doc:
-            raise ValueError(
-                f"{path}: ledger line {i + 1} is not an event object"
-            )
+            raise ValueError(f"{path}: ledger line {i} is not an event object")
         events.append(doc)
-        offset += len(line) + 1
-    return events, offset
+    return events, end
 
 
 def load_ledger(path: str | pathlib.Path) -> list[dict[str, Any]]:

@@ -5,8 +5,8 @@ A job is one submitted request working through the scheduler's lifecycle
 every record as ``jobs/<job_id>.json`` (atomic temp-file + rename via
 the cache's writer), so a killed service finds its queued and half-run
 jobs at the next boot and requeues them; the points such a job already
-completed live in the evaluation-cache checkpoint and are served as
-cache hits on the re-run instead of being simulated again.
+completed live in the append-only evaluation-cache log and are served
+as cache hits on the re-run instead of being simulated again.
 
 Job metrics themselves are *not* stored here — finished results land in
 the versioned :class:`~repro.service.results.ResultStore` release the

@@ -11,8 +11,8 @@ threads only enqueue and read). That gives three properties for free:
   of the same (or overlapping) specs simulate each point exactly once;
   parallelism *within* a job still comes from the runner's process pool
   and the batched engine's grouping, both untouched;
-* **checkpointed progress** — every completed point is flushed into the
-  on-disk cache checkpoint (atomic, lock-guarded), so a killed service
+* **checkpointed progress** — each completed point is appended to the
+  on-disk cache log (only new points are written), so a killed service
   resumes a half-done job as cache hits instead of recomputing;
 * **simple consistency** — job records mutate on one thread; readers
   take a snapshot under the registry lock.
@@ -100,7 +100,7 @@ class ExperimentScheduler:
     """Background job execution over a persistent state directory.
 
     ``state_dir`` owns everything the service must survive a restart
-    with: the evaluation-cache checkpoint (``cache.json``), job records
+    with: the evaluation-cache log (``cache.ndjson``), job records
     (``jobs/``) and result releases (``releases/``). ``jobs`` is the
     per-job worker ceiling handed to the runner (a request's own
     ``"jobs"`` hint is clamped to it). ``auto_start=False`` leaves the
@@ -124,8 +124,11 @@ class ExperimentScheduler:
         self.state_dir = pathlib.Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.jobs = jobs
-        self.cache_path = self.state_dir / "cache.json"
+        self.cache_path = self.state_dir / "cache.ndjson"
         self.cache = EvaluationCache.load_or_create(self.cache_path)
+        legacy = self.state_dir / "cache.json"
+        if legacy.exists():  # its entries carry no semantics epoch: not served
+            _log.warning("ignoring pre-log cache file", extra=fields(path=str(legacy)))
         self.job_store = JobStore(self.state_dir / "jobs")
         self.result_store = ResultStore(self.state_dir / "releases")
         self._poll_interval = poll_interval

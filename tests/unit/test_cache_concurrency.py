@@ -1,19 +1,27 @@
-"""Concurrent-writer safety of the EvaluationCache checkpoint file.
+"""Concurrent-writer safety of the EvaluationCache log.
 
 The service checkpoints the shared cache after every completed point
 while other processes (a second service, a CLI run against the same
-state dir) may be flushing the same file. ``flush`` must merge-and-
-publish atomically: no lost entries, no torn JSON, ever.
+state dir) may append to the same log. ``flush`` must append whole
+lines holding only the new entries: no lost entries, no partial entries,
+ever, and a writer killed mid-append must leave a log that still loads
+and takes appends.
 """
 
-import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
 from repro.experiments import EvaluationCache, Scenario, scenario_family
-from repro.experiments.cache import _atomic_write_text, _file_lock
+from repro.experiments.cache import _atomic_write_text
+from repro.obs import metrics_snapshot
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def _point(worker: int, i: int) -> Scenario:
@@ -30,6 +38,20 @@ def _hammer(path: str, worker: int, n_entries: int) -> int:
         cache.put(_point(worker, i), {"value": worker * 1000 + i})
         cache.flush(path)
     return n_entries
+
+
+# A writer process appending _point(7, i) entries, one flush each, until killed.
+_KILLED_WRITER = """
+import itertools, sys
+from repro.experiments import EvaluationCache, scenario_family
+
+cache = EvaluationCache()
+for i in itertools.count():
+    rate = round(0.0001 * (7 * 1000 + i + 1), 6)
+    [point] = scenario_family("saturation-sweep", rates=[rate])
+    cache.put(point, {"i": i, "pad": "x" * 32_768})
+    cache.flush(sys.argv[1])
+"""
 
 
 class TestConcurrentFlush:
@@ -82,24 +104,22 @@ class TestConcurrentFlush:
         """A put from another thread inside the flush window is kept.
 
         The service's dispatcher flushes the shared cache while the sweep
-        thread keeps putting points into it. Wrapping the publish step
-        lands a put deterministically between the flush's snapshot and
-        its return; the entry must stay in memory and reach the file on
-        the next flush.
+        thread keeps putting points into it. Wrapping the append step
+        lands a put deterministically between the flush taking its
+        pending entries and returning; the entry must stay in memory and
+        reach the log on the next flush.
         """
-        from repro.experiments import cache as cache_mod
-
-        path = tmp_path / "cache.json"
+        path = tmp_path / "cache.ndjson"
         shared = EvaluationCache()
         shared.put(_point(0, 0), {"x": 0})
         late = _point(0, 1)
-        publish = cache_mod._atomic_write_text
+        append = EvaluationCache._append
 
-        def publish_then_put(target, text):
-            publish(target, text)
+        def append_then_put(self, target, data):
+            append(self, target, data)
             shared.put(late, {"x": 1})
 
-        monkeypatch.setattr(cache_mod, "_atomic_write_text", publish_then_put)
+        monkeypatch.setattr(EvaluationCache, "_append", append_then_put)
         assert shared.flush(path) == 1
         monkeypatch.undo()
         assert shared.get(late) == {"x": 1}
@@ -161,54 +181,192 @@ class TestConcurrentFlush:
         assert EvaluationCache.load(path).get(_point(0, 0)) == {"x": "memory"}
 
     def test_file_is_always_complete_json(self, tmp_path):
-        path = tmp_path / "cache.json"
+        """A concurrent load never raises and never returns a partial entry.
+
+        Entries larger than a page make a reader likely to catch an
+        append half-written; it must see a prefix of the flushed entries.
+        """
+        path = tmp_path / "cache.ndjson"
+        n = 30
+        points = [_point(9, i) for i in range(n)]
+        pad = "x" * 10_000
         stop = threading.Event()
-        torn: list[Exception] = []
+        bad: list[object] = []
 
         def read_loop() -> None:
             while not stop.is_set():
-                if path.exists():
-                    try:
-                        json.loads(path.read_text())
-                    except json.JSONDecodeError as exc:  # pragma: no cover
-                        torn.append(exc)
+                if not path.exists():
+                    continue
+                try:
+                    loaded = EvaluationCache.load(path)
+                except Exception as exc:  # pragma: no cover
+                    bad.append(exc)
+                    continue
+                got = [loaded.get(p) for p in points]
+                seen = [m is not None for m in got]
+                if (
+                    seen != sorted(seen, reverse=True)
+                    or len(loaded) != sum(seen)
+                    or any(m not in (None, {"i": i, "pad": pad}) for i, m in enumerate(got))
+                ):
+                    bad.append(got)  # pragma: no cover
 
         reader = threading.Thread(target=read_loop)
         reader.start()
         try:
-            for i in range(30):
-                cache = EvaluationCache()
-                cache.put(_point(9, i), {"i": i})
-                cache.flush(path)
+            writer = EvaluationCache()
+            for i, point in enumerate(points):
+                writer.put(point, {"i": i, "pad": pad})
+                writer.flush(path)
         finally:
             stop.set()
             reader.join()
-        assert torn == []
+        assert bad == []
+        assert len(EvaluationCache.load(path)) == n
+
+
+class TestAppendOnlyLog:
+    def test_flush_appends_only_new_lines(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        cache = EvaluationCache()
+        for i in range(3):
+            cache.put(_point(1, i), {"i": i})
+        assert cache.flush(path) == 3
+        before = path.read_bytes()
+        assert before.count(b"\n") == 3
+        for i in range(3, 7):
+            cache.put(_point(1, i), {"i": i})
+        assert cache.flush(path) == 7
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert after.count(b"\n") == 3 + 4
+        # An all-hit pass puts nothing, so its checkpoint writes nothing,
+        # also from a process that loaded the log at boot.
+        reborn = EvaluationCache.load(path)
+        for cache_ in (cache, reborn):
+            for i in range(7):
+                assert cache_.get(_point(1, i)) == {"i": i}
+            assert cache_.flush(path) == 7
+        assert path.read_bytes() == after
+
+    def test_load_ignores_torn_tail_and_later_append_lands(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        writer = EvaluationCache()
+        writer.put(_point(2, 0), {"i": 0})
+        writer.flush(path)
+        with open(path, "ab") as fh:  # a writer killed mid-append
+            fh.write(b'{"epoch":1,"key":"dead')
+        loaded = EvaluationCache.load(path)
+        assert len(loaded) == 1
+        loaded.put(_point(2, 1), {"i": 1})
+        assert loaded.flush(path) == 2
+        final = EvaluationCache.load(path)
+        assert len(final) == 2
+        assert final.get(_point(2, 0)) == {"i": 0}
+        assert final.get(_point(2, 1)) == {"i": 1}
+
+    def test_first_flush_to_an_unread_log_appends_what_it_lacks(self, tmp_path):
+        first, second = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        source = EvaluationCache()
+        for i in range(3):
+            source.put(_point(4, i), {"i": i})
+        source.flush(first)
+        loaded = EvaluationCache.load(first)  # nothing pending
+        other = EvaluationCache()
+        other.put(_point(4, 0), {"i": 0})
+        other.flush(second)
+        assert loaded.flush(second) == 3
+        assert second.read_bytes().count(b"\n") == 3
+        assert len(EvaluationCache.load(second)) == 3
+
+    def test_replaced_log_is_reread_and_refilled(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        mine = EvaluationCache()
+        for i in range(3):
+            mine.put(_point(6, i), {"i": i})
+        mine.flush(path)
+        compactor = EvaluationCache()
+        compactor.put(_point(6, 9), {"i": 9})
+        compactor.save(path)  # replaced by a smaller log
+        mine.put(_point(6, 3), {"i": 3})
+        assert mine.flush(path) == 5
+        assert mine.get(_point(6, 9)) == {"i": 9}
+        assert len(EvaluationCache.load(path)) == 5
+
+    def test_append_racing_another_writer_is_read_back(self, tmp_path, monkeypatch):
+        # Another process appends between this cache's read and its own
+        # append; the next flush must still read that line.
+        path = tmp_path / "cache.ndjson"
+        mine, theirs = EvaluationCache(), EvaluationCache()
+        theirs.flush(path)
+        append = EvaluationCache._append
+
+        def other_writer_first(self, fd, data):
+            if self is mine:
+                theirs.put(_point(5, 1), {"i": 1})
+                theirs.flush(path)
+            append(self, fd, data)
+
+        mine.put(_point(5, 0), {"i": 0})
+        monkeypatch.setattr(EvaluationCache, "_append", other_writer_first)
+        mine.flush(path)
+        monkeypatch.undo()
+        assert mine.get(_point(5, 1)) is None
+        assert mine.flush(path) == 2
+        assert mine.get(_point(5, 1)) == {"i": 1}
+        assert len(EvaluationCache.load(path)) == 2
+
+    def test_glued_line_is_skipped_and_counted(self, tmp_path):
+        # A writer that never saw a dead writer's torn tail appends its
+        # first line onto it: one malformed complete line.
+        source = EvaluationCache()
+        for i in range(3):
+            source.put(_point(3, i), {"i": i})
+        source.save(tmp_path / "lines.ndjson")
+        lines = (tmp_path / "lines.ndjson").read_bytes().splitlines(keepends=True)
+        path = tmp_path / "cache.ndjson"
+        path.write_bytes(lines[0] + b'{"epoch":1,"ke' + lines[1] + lines[2])
+        before = metrics_snapshot()["counters"].get("cache.corrupt_lines", 0)
+        loaded = EvaluationCache.load(path)
+        assert metrics_snapshot()["counters"]["cache.corrupt_lines"] == before + 1
+        assert len(loaded) == 2
+        glued = [i for i in range(3) if loaded.get(_point(3, i)) is None]
+        assert len(glued) == 1
+        # The lost entry costs one recompute; the log keeps taking appends.
+        loaded.put(_point(3, glued[0]), {"i": glued[0]})
+        loaded.flush(path)
+        assert len(EvaluationCache.load(path)) == 3
+
+    def test_sigkilled_writer_leaves_loadable_log(self, tmp_path):
+        path = tmp_path / "cache.ndjson"
+        # Lines of several pages make a kill inside write() likely to
+        # leave a torn tail.
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WRITER, str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not path.exists() or path.read_bytes().count(b"\n") < 10:
+                assert child.poll() is None, "writer exited early"
+                assert time.monotonic() < deadline, "writer made no progress"
+                time.sleep(0.01)
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait()
+        loaded = EvaluationCache.load(path)
+        n = len(loaded)
+        assert n >= 10
+        for i in range(n):
+            assert loaded.get(_point(7, i)) == {"i": i, "pad": "x" * 32_768}
+        loaded.put(_point(8, 0), {"after": True})
+        assert loaded.flush(path) == n + 1
+        final = EvaluationCache.load(path)
+        assert len(final) == n + 1
+        assert final.get(_point(8, 0)) == {"after": True}
 
 
 class TestLockPrimitives:
-    def test_lock_excludes_second_holder(self, tmp_path):
-        target = tmp_path / "file.json"
-        with _file_lock(target, 5.0):
-            assert (tmp_path / "file.json.lock").exists()
-            with pytest.raises(TimeoutError):
-                with _file_lock(target, 0.1):
-                    pass  # pragma: no cover
-        assert not (tmp_path / "file.json.lock").exists()
-
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-        import time
-
-        target = tmp_path / "file.json"
-        lock = tmp_path / "file.json.lock"
-        lock.write_text("999999\n")  # a dead writer's leftovers
-        old = time.time() - 3600
-        os.utime(lock, (old, old))
-        with _file_lock(target, 1.0):
-            pass  # acquiring broke the stale lock instead of timing out
-        assert not lock.exists()
-
     def test_atomic_write_replaces_whole_file(self, tmp_path):
         target = tmp_path / "out.txt"
         target.write_text("old")

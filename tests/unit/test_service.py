@@ -339,6 +339,43 @@ class TestScheduler:
         finally:
             reborn.stop()
 
+    def test_pre_log_cache_file_is_ignored(self, tmp_path):
+        # A state dir from before the cache log holds a whole-file
+        # cache.json (format 1) with this job's points under wrong
+        # metrics. Its entries carry no semantics epoch: boot warns once,
+        # neither reads nor deletes it, and the job runs its points fresh.
+        import io
+
+        from repro.experiments import scenario_hash
+        from repro.obs import setup_logging
+
+        scenarios = scenario_family("saturation-sweep", **QUICK)
+        legacy = tmp_path / "cache.json"
+        entries = {
+            scenario_hash(s): {
+                "scenario": scenario_to_json(s),
+                "metrics": {"avg_latency": -1.0},
+            }
+            for s in scenarios
+        }
+        legacy.write_text(
+            json.dumps({"version": 1, "entries": entries}, indent=2, sort_keys=True)
+        )
+        before = legacy.read_bytes()
+        stream = io.StringIO()
+        setup_logging("warning", stream=stream)
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            done = sched.wait(sched.submit(quick_request()).job_id, timeout=120)
+            assert done.state == "done"
+            assert done.cache_hits == 0
+            direct = Runner().run(scenarios)
+            assert sched.result_metrics(done.job_id) == [r.metrics for r in direct]
+        finally:
+            sched.stop()
+        assert legacy.read_bytes() == before
+        assert stream.getvalue().count(str(legacy)) == 1
+
     def test_metrics_match_job_store_after_kill_resume(self, tmp_path):
         # The registry's counters must tell the same story as the job
         # store's ground truth across a staged kill + resume.
