@@ -1,51 +1,27 @@
-"""Extension bench — closed-loop sources, knee search, disabled overhead.
+"""Extension bench — closed-loop sources and knee search.
 
 Guards the control subsystem's performance contracts:
 
-* ``control_disabled_run`` — the *same* workload as ``simulator_run``
-  driven through ``Simulator.run(closed_loop=None, control=None)``: the
-  CI bench-smoke job asserts its median stays within 5 % of
-  ``simulator_run`` (the control hooks must be free when disabled, like
-  the telemetry sentinel);
 * ``control_closed_loop_run`` — a full request/reply run with an
   outstanding-request window on the 8x8 mesh (session hook + dynamic
   packet registration cost);
 * ``control_knee_search`` — a complete detector-driven bisection
   (fresh evaluation cache per iteration, so every probe simulates).
 
-All three are ``smoke``-tagged so the perf CI gate watches them.
-Correctness is asserted on the same payloads: disabled runs attach no
-control records, closed-loop runs conserve requests exactly, and the
-knee search lands inside its final bracket.
+Both are ``smoke``-tagged so the perf CI gate watches them.
+Correctness is asserted on the same payloads: closed-loop runs conserve
+requests exactly, and the knee search lands inside its final bracket.
 """
 
-from repro.bench import benchmark_spec, load_sibling
+from repro.bench import benchmark_spec
 from repro.control import ClosedLoopConfig, ClosedLoopSession, locate_knee
 from repro.simulation import Simulator
 from repro.simulation import synthetic_trace
 from repro.topology import build_mesh
 from repro.traffic import Trace, uniform_traffic
 
-# The CI control-disabled overhead gate divides control_disabled_run's
-# median by simulator_run's; sharing the fixture keeps the workloads
-# structurally identical (same pattern as bench_telemetry).
-_sim_perf = load_sibling(__file__, "bench_simulator_perf")
-N_PACKETS = _sim_perf.N_PACKETS
-
 CLOSED_RATE = 0.5
 CLOSED_CYCLES = 800
-
-
-@benchmark_spec(
-    "control_disabled_run",
-    setup=_sim_perf._simulator_fixture,
-    points=N_PACKETS,
-    tags=("perf", "control", "smoke"),
-)
-def run_disabled(fixture):
-    """simulator_run's workload through the control-less path (must be free)."""
-    sim, trace = fixture
-    return sim.run(trace, closed_loop=None, control=None)
 
 
 def _closed_loop_fixture():
@@ -89,12 +65,6 @@ def run_knee_search():
         window=64,
         drain_budget=4000,
     )
-
-
-def test_perf_control_disabled(run_bench):
-    stats = run_bench("control_disabled_run")
-    assert stats.drained
-    assert stats.closed_loop is None and stats.control is None
 
 
 def test_perf_closed_loop_run(run_bench):

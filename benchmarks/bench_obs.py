@@ -1,12 +1,8 @@
-"""Extension bench — observability overhead and hot-path throughput.
+"""Extension bench — observability hot-path throughput.
 
 Guards :mod:`repro.obs`'s performance contracts the same way
 ``bench_telemetry`` guards the sampler's:
 
-* ``obs_disabled_run`` — the *same* workload as ``simulator_run`` driven
-  through ``Simulator.run(profile=None)``: the CI bench-smoke job
-  asserts its median stays within 5 % of ``simulator_run`` (the phase
-  hooks must be free when profiling is off);
 * ``obs_span_throughput`` — recording + draining a burst of nested
   spans (the tracer's enabled-path cost: two clock reads and one
   append per span);
@@ -25,13 +21,12 @@ Guards :mod:`repro.obs`'s performance contracts the same way
   over a fleet of progress documents (the watch-loop redraw cost).
 
 All are ``smoke``-tagged so the perf CI gate watches them.
-Correctness rides along: the disabled run must produce a profile-free
-``SimStats`` identical in shape to ``simulator_run``'s, the span burst
-must drain exactly what it recorded with parents intact, and the
-snapshot must round-trip its counter values.
+Correctness rides along: the span burst must drain exactly what it
+recorded with parents intact, and the snapshot must round-trip its
+counter values.
 """
 
-from repro.bench import benchmark_spec, load_sibling
+from repro.bench import benchmark_spec
 from repro.obs import (
     MetricsRegistry,
     MetricsSampler,
@@ -46,26 +41,8 @@ from repro.obs import (
     tracing_enabled,
 )
 
-# The CI disabled-overhead gate divides obs_disabled_run's median by
-# simulator_run's; sharing the fixture makes "identical workload" a
-# structural fact rather than a copy-paste invariant.
-_sim_perf = load_sibling(__file__, "bench_simulator_perf")
-N_PACKETS = _sim_perf.N_PACKETS
-
 N_SPANS = 5000
 N_METRICS = 100
-
-
-@benchmark_spec(
-    "obs_disabled_run",
-    setup=_sim_perf._simulator_fixture,
-    points=N_PACKETS,
-    tags=("perf", "obs", "smoke"),
-)
-def run_disabled(fixture):
-    """simulator_run's workload through the profile=None path (must be free)."""
-    sim, trace = fixture
-    return sim.run(trace, profile=None)
 
 
 @benchmark_spec(
@@ -191,11 +168,6 @@ def _progress_docs_fixture():
 def run_progress_render(docs):
     """One full ``repro obs top`` screen over N_TOP_JOBS progress docs."""
     return render_top(docs, sparkline=[float(i % 9) for i in range(32)])
-
-
-def test_perf_disabled_run(run_bench):
-    stats = run_bench("obs_disabled_run")
-    assert stats.drained
 
 
 def test_perf_span_throughput(run_bench):

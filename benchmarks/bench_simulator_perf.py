@@ -110,6 +110,9 @@ def run_runner_pool4():
 def test_perf_cycle_simulator(run_bench):
     stats = run_bench("simulator_run")
     assert stats.drained
+    # The default run attaches no telemetry, closed-loop or control record.
+    assert stats.telemetry is None
+    assert stats.closed_loop is None and stats.control is None
 
 
 def test_perf_flow_assignment(run_bench):

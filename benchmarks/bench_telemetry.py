@@ -1,20 +1,17 @@
-"""Extension bench — telemetry sampler overhead and trace conversion.
+"""Extension bench — telemetry sampler cost and trace conversion.
 
 Guards the telemetry subsystem's two performance contracts:
 
-* ``telemetry_disabled_run`` — the *same* workload as ``simulator_run``
-  driven through ``Simulator.run(telemetry=None)``: the CI bench-smoke
-  job asserts its median stays within 5 % of ``simulator_run`` (the
-  sampler hook must be free when disabled);
-* ``telemetry_sampler`` — the same run with a 64-cycle window, tracking
-  the enabled-sampling cost (snapshot diffs per window, not per event);
+* ``telemetry_sampler`` — ``simulator_run``'s workload with a 64-cycle
+  window, tracking the enabled-sampling cost (snapshot diffs per window,
+  not per event);
 * ``telemetry_power_trace`` — windowed power conversion + detectors over
   a prebuilt telemetry trace (the post-processing hot path).
 
-All three are ``smoke``-tagged so the perf CI gate watches them.
-Correctness is asserted on the same payloads: disabled runs attach no
-telemetry, sampled runs conserve counts exactly, and the power-trace
-total is bit-identical to the whole-run energy.
+Both are ``smoke``-tagged so the perf CI gate watches them.
+Correctness is asserted on the same payloads: sampled runs conserve
+counts exactly, and the power-trace total is bit-identical to the
+whole-run energy.
 """
 
 import numpy as np
@@ -25,9 +22,7 @@ from repro.telemetry import TelemetryConfig, analyze, power_trace
 
 WINDOW = 64
 
-# The CI disabled-overhead gate divides telemetry_disabled_run's median
-# by simulator_run's; sharing the fixture makes "identical workload" a
-# structural fact rather than a copy-paste invariant.
+# Sampling cost reads against simulator_run: share its fixture.
 _sim_perf = load_sibling(__file__, "bench_simulator_perf")
 N_PACKETS = _sim_perf.N_PACKETS
 
@@ -35,18 +30,6 @@ N_PACKETS = _sim_perf.N_PACKETS
 def _simulator_fixture():
     sim, trace = _sim_perf._simulator_fixture()
     return sim.topology, sim, trace
-
-
-@benchmark_spec(
-    "telemetry_disabled_run",
-    setup=_simulator_fixture,
-    points=N_PACKETS,
-    tags=("perf", "telemetry", "smoke"),
-)
-def run_disabled(fixture):
-    """simulator_run's workload through the telemetry=None path (must be free)."""
-    _, sim, trace = fixture
-    return sim.run(trace, telemetry=None)
 
 
 @benchmark_spec(
@@ -77,12 +60,6 @@ def run_power_conversion(fixture):
     """Windowed power conversion + all streaming detectors."""
     mesh, stats = fixture
     return power_trace(mesh, stats.telemetry), analyze(stats.telemetry)
-
-
-def test_perf_disabled_overhead(run_bench):
-    stats = run_bench("telemetry_disabled_run")
-    assert stats.drained
-    assert stats.telemetry is None
 
 
 def test_perf_sampler(run_bench):

@@ -18,16 +18,16 @@ transitions (:mod:`~repro.obs.slo`).
 
 Sweep introspection adds three sub-layers on the same foundations: a
 durable append-only NDJSON run ledger of per-point lifecycle
-transitions (:mod:`~repro.obs.ledger`) that replays back into job
-state and exports deterministically; live progress/ETA tracking with
+transitions (:mod:`~repro.obs.ledger`) — each service job's only
+durable record, replayed into its :class:`~repro.obs.ledger.JobRecord` at boot — that
+exports deterministically; live progress/ETA tracking with
 terminal rendering helpers (:mod:`~repro.obs.progress`); and
 sweep-level aggregation of per-point :class:`PhaseProfile` captures
 into per-phase p50/p99 breakdowns (:mod:`~repro.obs.aggregate`).
 
 Everything is off by default and designed so the disabled path costs a
-single sentinel check — golden SimStats remain bit-identical and the
-engines stay inside the CI overhead gate with observability compiled in
-but switched off.
+single sentinel check — golden SimStats remain bit-identical with
+observability compiled in but switched off.
 """
 
 from repro.obs.aggregate import (

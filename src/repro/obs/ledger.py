@@ -1,11 +1,13 @@
-"""Durable append-only NDJSON run ledger for sweep lifecycle events.
+"""Durable append-only NDJSON run ledger: each job's only durable record.
 
 Every per-point lifecycle transition of a job (``queued -> dispatched ->
 simulating -> completed | cached | failed``, with worker pid, engine and
 cache disposition) plus the job-level transitions framing them
 (``submitted``, ``running``, ``requeued``, ``interrupted``, ``done``,
 ``failed``) is appended as one JSON line to
-``STATE_DIR/ledger/<job_id>.ndjson``.
+``STATE_DIR/ledger/<job_id>.ndjson``. ``job.submitted`` carries the
+validated request and its spec hashes, ``job.done`` the result release,
+so the stream holds everything the job's record needs.
 
 Crash-safety contract:
 
@@ -18,10 +20,10 @@ Crash-safety contract:
   not be silently skipped); reopening a ledger through
   :class:`RunLedger` physically truncates the torn tail so the next
   append starts on a clean line boundary;
-* **replayable** — :func:`replay_ledger` folds the event stream back
-  into job/point state; for any job the replay matches the
-  :class:`~repro.service.jobs.JobRecord` the scheduler persisted
-  (pinned by an end-to-end kill+resume test).
+* **event-sourced** — :class:`JobRecord` is the fold of a job's events:
+  the service changes a live record only by appending an event and
+  applying it with :meth:`JobRecord.apply`, and :func:`replay_ledger`
+  rebuilds the same record from the file at boot.
 
 :func:`export_ledger` mirrors :func:`repro.obs.trace.export_trace`'s
 deterministic-export conventions: ``deterministic=True`` strips wall
@@ -38,7 +40,7 @@ import json
 import pathlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "JOB_EVENTS",
     "POINT_EVENTS",
     "RunLedger",
+    "JobRecord",
     "LedgerReplay",
     "load_ledger",
     "replay_ledger",
@@ -190,82 +193,119 @@ class RunLedger:
 
 
 @dataclass
-class LedgerReplay:
-    """Job/point state reconstructed from a ledger event stream.
+class JobRecord:
+    """One job's state: the fold of its ledger events (:meth:`apply`).
 
-    The counter fields mirror :class:`~repro.service.jobs.JobRecord`:
     ``points_done`` counts completed + cached points *since the last
-    requeue* (a boot-requeue resets the scheduler's counters, and the
-    replay folds ``job.requeued`` the same way), ``cache_hits`` the
-    cached subset. ``point_states`` maps point index to its latest
-    lifecycle stage.
+    requeue* (a requeued job re-runs from the top, its checkpointed
+    points returning as cache hits), ``cache_hits`` the cached subset.
+    ``point_states`` maps point index to its latest lifecycle stage. An
+    interrupted job stays ``running``: parked on disk, to be requeued at
+    the next boot.
     """
 
     job_id: str | None = None
     state: str = "queued"
     n_points: int = 0
+    spec_hashes: list[str] = field(default_factory=list)
+    sweep_hash: str | None = None
+    request: dict[str, Any] | None = None
+    """The validated submit payload, verbatim (resume re-parses it)."""
     points_done: int = 0
     cache_hits: int = 0
-    failed_points: int = 0
-    resumed: int = 0
+    duration_s: float | None = None
     error: str | None = None
+    release: str | None = None
+    """Result-store release id once the job is done."""
+    resumed: int = 0
+    """How many times a restarted service re-dispatched this job."""
+    failed_points: int = 0
     point_states: dict[int, str] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "state": self.state,
-            "n_points": self.n_points,
-            "points_done": self.points_done,
-            "cache_hits": self.cache_hits,
-            "failed_points": self.failed_points,
-            "resumed": self.resumed,
-            "error": self.error,
-            "point_states": {
-                str(i): s for i, s in sorted(self.point_states.items())
-            },
-        }
-
-
-def replay_ledger(events: list[dict[str, Any]]) -> LedgerReplay:
-    """Fold an event stream into the job state it describes."""
-    rep = LedgerReplay()
-    for ev in events:
+    def apply(self, ev: dict[str, Any]) -> None:
+        """Fold one ledger event into this record."""
         name = ev.get("event")
         if "job" in ev:
-            rep.job_id = ev["job"]
+            self.job_id = ev["job"]
         if name == "job.submitted":
-            rep.n_points = int(ev.get("n_points", 0))
-            rep.state = "queued"
-        elif name == "job.running":
-            rep.state = "running"
+            self.state = "queued"
+            self.n_points = int(ev.get("n_points", 0))
+            self.spec_hashes = list(ev.get("spec_hashes", ()))
+            self.sweep_hash = ev.get("sweep")
+            self.request = ev.get("request")
+        elif name in ("job.running", "job.interrupted"):
+            self.state = "running"
         elif name == "job.requeued":
-            # Mirrors the scheduler's boot-requeue: counters reset, the
-            # checkpointed points return as cache hits on the re-run.
-            rep.resumed += 1
-            rep.state = "queued"
-            rep.points_done = 0
-            rep.cache_hits = 0
-            rep.failed_points = 0
-            rep.point_states = {i: "queued" for i in range(rep.n_points)}
-        elif name == "job.interrupted":
-            rep.state = "running"  # parked on disk as resumable
+            self.state = "queued"
+            self.resumed += 1
+            self.points_done = self.cache_hits = self.failed_points = 0
+            self.point_states = {i: "queued" for i in range(self.n_points)}
         elif name == "job.done":
-            rep.state = "done"
+            self.state = "done"
+            self.release = ev.get("release")
+            self.duration_s = ev.get("duration_s")
         elif name == "job.failed":
-            rep.state = "failed"
-            rep.error = ev.get("error")
+            self.state = "failed"
+            self.error = ev.get("error")
+            self.duration_s = ev.get("duration_s")
         elif isinstance(name, str) and name.startswith("point."):
             stage = name.split(".", 1)[1]
-            point = int(ev.get("point", -1))
-            rep.point_states[point] = stage
+            self.point_states[int(ev.get("point", -1))] = stage
             if stage in ("completed", "cached"):
-                rep.points_done += 1
-                if stage == "cached":
-                    rep.cache_hits += 1
+                self.points_done += 1
+                self.cache_hits += stage == "cached"
             elif stage == "failed":
-                rep.failed_points += 1
-    return rep
+                self.failed_points += 1
+
+    @property
+    def cache_hit_ratio(self) -> float:
+        """Fraction of completed points served from the cache."""
+        return self.cache_hits / self.points_done if self.points_done else 0.0
+
+    def status_json(self) -> dict[str, Any]:
+        """The job-status document API responses carry.
+
+        Built field by field: the request (available from the ledger)
+        and the per-point state stay out of every status poll.
+        """
+        doc = {name: getattr(self, name) for name in _STATUS_FIELDS}
+        doc["spec_hashes"] = list(self.spec_hashes)
+        doc["cache_hit_ratio"] = round(self.cache_hit_ratio, 6)
+        return doc
+
+    def to_json(self) -> dict[str, Any]:
+        """Every field, per-point states keyed by the point index string."""
+        doc = asdict(self)
+        doc["point_states"] = {
+            str(i): s for i, s in sorted(self.point_states.items())
+        }
+        return doc
+
+
+_STATUS_FIELDS = (
+    "job_id",
+    "state",
+    "n_points",
+    "spec_hashes",
+    "sweep_hash",
+    "points_done",
+    "cache_hits",
+    "duration_s",
+    "error",
+    "release",
+    "resumed",
+)
+
+#: Alias for callers that import the replay's result type by this name.
+LedgerReplay = JobRecord
+
+
+def replay_ledger(events: list[dict[str, Any]]) -> JobRecord:
+    """Fold an event stream into the job record it describes."""
+    record = JobRecord()
+    for ev in events:
+        record.apply(ev)
+    return record
 
 
 def export_ledger(

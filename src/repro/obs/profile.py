@@ -12,8 +12,7 @@ loop's wall time closely (pinned within 10% by integration test).
 Cost model matches the telemetry sampler and :mod:`repro.obs.trace`:
 disabled (``profile=None``, the default) the loop pays one ``if prof:``
 falsy check per phase boundary — no clock reads, no allocation — and the
-golden-SimStats tests stay bit-identical. The CI bench gate pins the
-disabled path's median within 5% of ``simulator_run``.
+golden-SimStats tests stay bit-identical.
 
 :func:`profile_simulation` is the one-call helper behind
 ``repro obs profile``: evaluate one scenario under each engine and

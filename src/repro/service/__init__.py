@@ -7,8 +7,8 @@ byte-deterministic npz releases. Five pillars:
 
 * :mod:`repro.service.schema` — the canonical, versioned submit-request
   schema; violations become structured 400 bodies;
-* :mod:`repro.service.jobs` — job lifecycle records persisted per job
-  for kill/restart resume;
+* :mod:`repro.service.jobs` — job lifecycle records, each the fold of
+  the job's run ledger, replayed at boot for kill/restart resume;
 * :mod:`repro.service.scheduler` — a single dispatcher thread feeding
   the existing :class:`~repro.experiments.Runner` via its
   ``submit``/``poll`` seam, checkpointing every completed point into a
@@ -25,7 +25,7 @@ The CLI exposes the server as ``repro serve``.
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.dashboard import DASHBOARD_HTML, render_dashboard
-from repro.service.jobs import JOB_STATES, JobRecord, JobStore, sweep_hash
+from repro.service.jobs import JOB_STATES, JobRecord, sweep_hash
 from repro.service.results import (
     RESULTS_FORMAT,
     RESULTS_VERSION,
@@ -62,7 +62,6 @@ __all__ = [
     "JobNotDone",
     "JobNotFound",
     "JobRecord",
-    "JobStore",
     "ParsedRequest",
     "Release",
     "ResultStore",

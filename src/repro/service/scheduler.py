@@ -14,7 +14,10 @@ threads only enqueue and read). That gives three properties for free:
 * **checkpointed progress** — each completed point is appended to the
   on-disk cache log (only new points are written), so a killed service
   resumes a half-done job as cache hits instead of recomputing;
-* **simple consistency** — job records mutate on one thread; readers
+* **one durable job record** — a job changes only by appending an
+  event to its run ledger and folding that same event into the live
+  :class:`~repro.service.jobs.JobRecord`; boot replays the ledgers into
+  the same records, so nothing else about a job is ever written. Readers
   take a snapshot under the registry lock.
 
 Finished jobs publish their metrics as a versioned release in the
@@ -36,11 +39,12 @@ import pathlib
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Any
 
 from repro.experiments import EvaluationCache, Runner, Scenario
 from repro.obs.aggregate import SweepProfile, merge_profiles
-from repro.obs.ledger import RunLedger, load_ledger
+from repro.obs.ledger import RunLedger, load_ledger, replay_ledger
 from repro.obs.logs import fields, get_logger
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.profile import PhaseProfile
@@ -60,9 +64,9 @@ from repro.obs.trace import (
     span,
     take_spans,
 )
-from repro.service.jobs import JobRecord, JobStore
+from repro.service.jobs import JOB_STATES, JobRecord, sweep_hash
 from repro.service.results import Release, ResultStore
-from repro.service.schema import SchemaError, parse_request
+from repro.service.schema import parse_request
 
 __all__ = ["ExperimentScheduler", "JobNotFound", "JobNotDone"]
 
@@ -100,9 +104,9 @@ class ExperimentScheduler:
     """Background job execution over a persistent state directory.
 
     ``state_dir`` owns everything the service must survive a restart
-    with: the evaluation-cache log (``cache.ndjson``), job records
-    (``jobs/``) and result releases (``releases/``). ``jobs`` is the
-    per-job worker ceiling handed to the runner (a request's own
+    with: the evaluation-cache log (``cache.ndjson``), the per-job run
+    ledgers (``ledger/``) and result releases (``releases/``). ``jobs``
+    is the per-job worker ceiling handed to the runner (a request's own
     ``"jobs"`` hint is clamped to it). ``auto_start=False`` leaves the
     dispatcher stopped — used by tests that stage a "killed mid-run"
     state and by :meth:`resume`-style inspection tooling.
@@ -129,7 +133,6 @@ class ExperimentScheduler:
         legacy = self.state_dir / "cache.json"
         if legacy.exists():  # its entries carry no semantics epoch: not served
             _log.warning("ignoring pre-log cache file", extra=fields(path=str(legacy)))
-        self.job_store = JobStore(self.state_dir / "jobs")
         self.result_store = ResultStore(self.state_dir / "releases")
         self._poll_interval = poll_interval
         self._lock = threading.RLock()
@@ -153,7 +156,7 @@ class ExperimentScheduler:
         # Sweep introspection: the durable per-job run ledger, the live
         # progress tracker, and per-point profile captures (opt-in).
         self.ledger_dir = self.state_dir / "ledger"
-        self._ledgers: dict[str, RunLedger] = {}
+        self._last_id = 0
         self.tracker = ProgressTracker()
         self._profiles: dict[str, list[PhaseProfile | None]] = {}
         # The scheduler is the span producer for the whole service; one
@@ -169,30 +172,7 @@ class ExperimentScheduler:
             self.series, interval_s=sample_interval, slo=self.slo
         )
 
-        for record in self.job_store.all():
-            self._records[record.job_id] = record
-            if record.state in ("queued", "running"):
-                # A restart re-dispatches interrupted work from the top;
-                # the points it already checkpointed return as cache hits.
-                _log.info(
-                    "boot-requeue of interrupted job",
-                    extra=fields(
-                        job=record.job_id,
-                        prev_state=record.state,
-                        resumed=record.resumed + 1,
-                    ),
-                )
-                record.state = "queued"
-                record.points_done = 0
-                record.cache_hits = 0
-                record.resumed += 1
-                self.job_store.save(record)
-                self._queue.append(record.job_id)
-                self._enqueued_at[record.job_id] = time.monotonic()
-                self._ledger(record.job_id).append(
-                    "job.requeued", resumed=record.resumed
-                )
-                _REQUEUED.inc()
+        self._replay_ledgers()
         _QUEUE_DEPTH.set(len(self._queue))
         if auto_start:
             self.start()
@@ -243,22 +223,64 @@ class ExperimentScheduler:
                 "metrics history save failed",
                 extra=fields(path=str(self.history_path), error=str(exc)),
             )
-        with self._lock:
-            ledgers = list(self._ledgers.values())
-            self._ledgers.clear()
-        for ledger in ledgers:
-            ledger.close()
 
-    def _ledger(self, job_id: str) -> RunLedger:
-        """Get-or-open the job's run ledger (``ledger/<job_id>.ndjson``)."""
-        with self._lock:
-            ledger = self._ledgers.get(job_id)
-            if ledger is None:
-                ledger = RunLedger(
-                    self.ledger_dir / f"{job_id}.ndjson", job_id=job_id
+    def _replay_ledgers(self) -> None:
+        """Rebuild every job from its ledger; requeue unfinished ones.
+
+        A torn final line is dropped; interior corruption raises, naming
+        the file. Ids continue past the highest ledger file name.
+        """
+        old = 0
+        for path in sorted(self.ledger_dir.glob("job-*.ndjson")):
+            try:
+                self._last_id = max(self._last_id, int(path.stem[4:]))
+            except ValueError:
+                continue
+            record = replay_ledger(load_ledger(path))
+            if record.request is None:  # written before ledgers carried it
+                old += 1
+                continue
+            self._records[record.job_id] = record
+            if record.state in ("queued", "running"):
+                # A restart re-dispatches interrupted work from the top;
+                # the points it already checkpointed return as cache hits.
+                _log.info(
+                    "boot-requeue of interrupted job",
+                    extra=fields(
+                        job=record.job_id,
+                        prev_state=record.state,
+                        resumed=record.resumed + 1,
+                    ),
                 )
-                self._ledgers[job_id] = ledger
-            return ledger
+                with self._open_ledger(record.job_id) as ledger:
+                    self._append(
+                        ledger, record, "job.requeued", resumed=record.resumed + 1
+                    )
+                self._queue.append(record.job_id)
+                self._enqueued_at[record.job_id] = time.monotonic()
+                _REQUEUED.inc()
+        legacy = self.state_dir / "jobs"
+        if old or legacy.exists():
+            _log.warning(
+                "ignoring job state from before the event-sourced ledger",
+                extra=fields(path=str(legacy), old_ledgers=old),
+            )
+
+    def _open_ledger(self, job_id: str) -> RunLedger:
+        """Open the job's run ledger (``ledger/<job_id>.ndjson``).
+
+        Callers close it when done; only a running job's stays open.
+        """
+        return RunLedger(self.ledger_dir / f"{job_id}.ndjson", job_id=job_id)
+
+    def _append(
+        self, ledger: RunLedger, record: JobRecord, event: str, **data: Any
+    ) -> None:
+        """Change a job the one way there is: append the event to its
+        ledger, then fold that same event into the live record."""
+        written = ledger.append(event, **data)
+        with self._lock:
+            record.apply(written)
 
     # -- submission & queries ------------------------------------------------
 
@@ -273,28 +295,34 @@ class ExperimentScheduler:
         """
         parsed = parse_request(doc)
         with self._lock:
-            record = self.job_store.create(
-                spec_hashes=parsed.spec_hashes, request=parsed.payload
+            self._last_id += 1
+            job_id = f"job-{self._last_id:06d}"
+        # The submit-time events land before the dispatcher can see the job.
+        record = JobRecord()
+        with self._open_ledger(job_id) as ledger:
+            self._append(
+                ledger,
+                record,
+                "job.submitted",
+                n_points=parsed.n_points,
+                sweep=sweep_hash(parsed.spec_hashes),
+                spec_hashes=parsed.spec_hashes,
+                request=parsed.payload,
             )
-            self._records[record.job_id] = record
-            self._scenarios[record.job_id] = parsed.scenarios
-            self._queue.append(record.job_id)
-            self._enqueued_at[record.job_id] = time.monotonic()
-            self._trace_parents[record.job_id] = trace_parent
+            for i in range(parsed.n_points):
+                self._append(ledger, record, "point.queued", point=i)
+        with self._lock:
+            self._records[job_id] = record
+            self._scenarios[job_id] = parsed.scenarios
+            self._queue.append(job_id)
+            self._enqueued_at[job_id] = time.monotonic()
+            self._trace_parents[job_id] = trace_parent
             _QUEUE_DEPTH.set(len(self._queue))
-        ledger = self._ledger(record.job_id)
-        ledger.append(
-            "job.submitted",
-            n_points=record.n_points,
-            sweep=record.sweep_hash,
-        )
-        for i in range(record.n_points):
-            ledger.append("point.queued", point=i)
         _SUBMITTED.inc()
         _log.info(
             "job submitted",
             extra=fields(
-                job=record.job_id,
+                job=job_id,
                 points=record.n_points,
                 sweep=record.sweep_hash[:12],
             ),
@@ -430,8 +458,6 @@ class ExperimentScheduler:
         ``progress`` sub-document (throughput/ETA/in-flight) from the
         tracker.
         """
-        from repro.service.jobs import JOB_STATES
-
         if state is not None and state not in JOB_STATES:
             raise ValueError(
                 f"unknown state {state!r}; one of {', '.join(JOB_STATES)}"
@@ -599,12 +625,20 @@ class ExperimentScheduler:
     # -- dispatcher ----------------------------------------------------------
 
     def _snapshot(self, record: JobRecord) -> JobRecord:
-        return JobRecord.from_json(record.to_json())
+        with self._lock:
+            return replace(record, point_states=dict(record.point_states))
 
     def _execute(self, job_id: str) -> None:
-        """Run one job inside a ``service.job`` span; capture its trace."""
+        """Run one job inside a ``service.job`` span; capture its trace.
+
+        The job's ledger stays open only while it runs. Whatever raises
+        (a runner failure, a persisted request this build can no longer
+        parse, a ledger write) fails this job alone, and the dispatcher
+        goes on to the next.
+        """
         with self._lock:
             self._executing = job_id
+            record = self._records[job_id]
             enqueued = self._enqueued_at.pop(job_id, None)
             trace_parent = self._trace_parents.pop(job_id, None)
         if enqueued is not None:
@@ -613,9 +647,12 @@ class ExperimentScheduler:
         # Adopt the submitting caller's span id (if it shipped one) so the
         # job's trace joins the caller's tree when merged client-side.
         adopt_parent(trace_parent)
+        started = time.perf_counter()
         try:
-            with span("service.job", job=job_id):
-                self._execute_inner(job_id)
+            with span("service.job", job=job_id), self._open_ledger(job_id) as ledger:
+                self._execute_inner(ledger, record, started)
+        except Exception as exc:
+            self._fail(record, exc, round(time.perf_counter() - started, 6))
         finally:
             adopt_parent(None)
             self.tracker.job_finished(job_id)
@@ -624,34 +661,45 @@ class ExperimentScheduler:
             self._executing = None
             self._spans_captured.notify_all()
 
-    def _execute_inner(self, job_id: str) -> None:
+    def _fail(self, record: JobRecord, exc: Exception, duration_s: float) -> None:
+        """Fail a job whose execution raised.
+
+        The failure goes to the ledger when the append succeeds; the live
+        record reports it either way (a ledger without it requeues the
+        job at the next boot).
+        """
+        error = f"{type(exc).__name__}: {exc}"
+        _log.error(
+            "job failed",
+            exc_info=exc,
+            extra=fields(job=record.job_id, state="failed", error=error),
+        )
+        if record.state in ("done", "failed"):
+            return  # it raised after finishing: the ledger already says so
+        failed = {"error": error, "duration_s": duration_s}
+        event: dict[str, Any] = {"event": "job.failed", **failed}
+        try:
+            with self._open_ledger(record.job_id) as ledger:
+                event = ledger.append("job.failed", **failed)
+        except Exception:
+            _log.exception(
+                "job failure not written to its ledger",
+                extra=fields(job=record.job_id),
+            )
         with self._lock:
-            record = self._records[job_id]
-            record.state = "running"
-            self.job_store.save(record)
-        ledger = self._ledger(job_id)
-        ledger.append("job.running")
+            record.apply(event)
+        _FAILED.inc()
+
+    def _execute_inner(
+        self, ledger: RunLedger, record: JobRecord, started: float
+    ) -> None:
+        job_id = record.job_id
+        self._append(ledger, record, "job.running")
         _log.info(
             "job state change",
             extra=fields(job=job_id, state="running", points=record.n_points),
         )
-        try:
-            scenarios = self.scenarios(job_id)
-        except SchemaError as exc:
-            # A persisted request this server build can no longer parse
-            # (e.g. a family removed between versions) fails the job
-            # instead of wedging the dispatcher.
-            with self._lock:
-                record.state = "failed"
-                record.error = str(exc)
-                self.job_store.save(record)
-            ledger.append("job.failed", error=str(exc))
-            _FAILED.inc()
-            _log.warning(
-                "job failed to parse",
-                extra=fields(job=job_id, state="failed", error=str(exc)),
-            )
-            return
+        scenarios = self.scenarios(job_id)
         hint = record.request.get("jobs")
         runner_jobs = min(hint, self.jobs) if isinstance(hint, int) else self.jobs
         runner_jobs = max(1, runner_jobs)
@@ -659,11 +707,12 @@ class ExperimentScheduler:
         tracker = self.tracker
 
         def observe(event: dict[str, Any]) -> None:
-            # Runner lifecycle events land in the durable ledger and the
-            # live progress tracker; both run on the sweep drive thread.
+            # Runner lifecycle events land in the durable ledger, the job
+            # record and the live progress tracker; all on the sweep drive
+            # thread.
             ev = dict(event)
             name = ev.pop("event")
-            ledger.append(name, **ev)
+            self._append(ledger, record, name, **ev)
             tracker.observe(job_id, name, ev)
 
         runner = Runner(
@@ -672,7 +721,6 @@ class ExperimentScheduler:
             observer=observe,
             profile=want_profile,
         )
-        started = time.perf_counter()
         metrics = self._metrics.setdefault(job_id, [])
         metrics.clear()
         profiles = self._profiles.setdefault(job_id, [])
@@ -681,46 +729,28 @@ class ExperimentScheduler:
             job_id, n_points=record.n_points, workers=runner_jobs
         )
         handle = runner.submit(scenarios)
-        try:
-            while True:
-                fresh = handle.poll()
-                if fresh:
-                    with self._lock:
-                        for res in fresh:
-                            metrics.append(res.metrics)
-                            profiles.append(res.profile)
-                            record.points_done += 1
-                            record.cache_hits += bool(res.cached)
-                    _POINTS.inc(len(fresh))
-                    # Checkpoint: completed points survive a kill -9.
-                    self.cache.flush(self.cache_path)
-                    with self._lock:
-                        self.job_store.save(record)
-                    continue
-                if handle.done:
-                    break
-                if self._stop.is_set():
-                    handle.cancel()
-                handle.wait(self._poll_interval)
-        except Exception as exc:
-            with self._lock:
-                record.state = "failed"
-                record.error = f"{type(exc).__name__}: {exc}"
-                record.duration_s = round(time.perf_counter() - started, 6)
-                self.job_store.save(record)
-            ledger.append("job.failed", error=record.error)
-            _FAILED.inc()
-            _log.error(
-                "job failed",
-                extra=fields(job=job_id, state="failed", error=record.error),
-            )
-            return
+        while True:
+            fresh = handle.poll()
+            if fresh:
+                with self._lock:
+                    for res in fresh:
+                        metrics.append(res.metrics)
+                        profiles.append(res.profile)
+                _POINTS.inc(len(fresh))
+                # Checkpoint: completed points survive a kill -9.
+                self.cache.flush(self.cache_path)
+                continue
+            if handle.done:
+                break
+            if self._stop.is_set():
+                handle.cancel()
+            handle.wait(self._poll_interval)
         if len(metrics) < record.n_points:
-            # Interrupted by stop(): leave the record 'running' on disk so
+            # Interrupted by stop(): the record stays 'running' on disk so
             # the next boot requeues it from the checkpointed cache.
-            with self._lock:
-                self.job_store.save(record)
-            ledger.append("job.interrupted", points_done=record.points_done)
+            self._append(
+                ledger, record, "job.interrupted", points_done=record.points_done
+            )
             _log.info(
                 "job interrupted; parked for resume",
                 extra=fields(
@@ -735,16 +765,14 @@ class ExperimentScheduler:
             metrics=metrics,
             spec_hashes=record.spec_hashes,
         )
-        with self._lock:
-            record.state = "done"
-            record.release = release.release_id
-            record.duration_s = round(time.perf_counter() - started, 6)
-            self.job_store.save(record)
-        ledger.append(
+        self._append(
+            ledger,
+            record,
             "job.done",
             points_done=record.points_done,
             cache_hits=record.cache_hits,
-            duration_s=record.duration_s,
+            duration_s=round(time.perf_counter() - started, 6),
+            release=release.release_id,
         )
         _DONE.inc()
         _log.info(

@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.experiments import EvaluationCache, Runner, scenario_family
+from repro.obs import RunLedger
 from repro.service import ExperimentScheduler, ServiceClient, ServiceError, make_server
 
 QUICK = {"rates": [0.04, 0.08], "cycles": 300}
@@ -157,19 +158,19 @@ class TestErrors:
 class TestRestartResume:
     def test_killed_service_resumes_half_done_job(self, tmp_path):
         state = tmp_path / "state"
-        # Stage the on-disk remains of a service killed mid-job: the job
-        # record is 'running', and the cache checkpoint holds the first
-        # point's result (the dispatcher flushes after every point).
+        # Stage the on-disk remains of a service killed mid-job: the job's
+        # ledger says 'running' with one point done, and the cache
+        # checkpoint holds that point's result (the dispatcher flushes
+        # after every point).
         cold = ExperimentScheduler(state, auto_start=False)
         record = cold.submit(quick_request())
         scenarios = scenario_family("saturation-sweep", **QUICK)
         half = EvaluationCache()
         Runner(cache=half).run(scenarios[:1])
         half.flush(cold.cache_path)
-        stored = cold.job_store.get(record.job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
+        with RunLedger(cold.ledger_dir / f"{record.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
 
         # Boot a fresh server over the same state dir — the "restart".
         server = make_server("127.0.0.1", 0, state)

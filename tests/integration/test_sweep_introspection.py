@@ -5,7 +5,7 @@ The PR's acceptance criteria, pinned against real HTTP:
 * the run ledger survives a kill: a service staged as "killed mid-job"
   (torn final ledger line included) restarts, requeues, finishes — and
   replaying the ledger reconstructs the resumed job's final per-point
-  states exactly as the :class:`JobRecord` reports them;
+  states exactly as the live :class:`JobRecord` reports them;
 * deterministic ledger and profile exports are byte-stable across runs
   and across ``--jobs`` values;
 * the progress endpoint reports live, monotone counts with an ETA while
@@ -98,9 +98,9 @@ class TestLedgerEndToEnd:
 
     def test_killed_service_replay_matches_resumed_record(self, tmp_path):
         state = tmp_path / "state"
-        # Stage the remains of a service killed mid-job: record parked as
-        # 'running', first point checkpointed in the cache, and a ledger
-        # that recorded the first point's lifecycle before dying mid-append
+        # Stage the remains of a service killed mid-job: first point
+        # checkpointed in the cache, and a ledger that recorded the job
+        # running and the first point's lifecycle before dying mid-append
         # (an unterminated final line — the worst crash the line-atomic
         # writer can leave behind).
         cold = ExperimentScheduler(state, auto_start=False)
@@ -110,11 +110,7 @@ class TestLedgerEndToEnd:
         half = EvaluationCache()
         Runner(cache=half).run(scenarios[:1])
         half.flush(cold.cache_path)
-        stored = cold.job_store.get(job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
-        cold.stop()  # closes the submit-time ledger handle
+        cold.stop()
 
         ledger_path = state / "ledger" / f"{job_id}.ndjson"
         with RunLedger(ledger_path, job_id=job_id) as staged:
@@ -139,7 +135,7 @@ class TestLedgerEndToEnd:
             assert all(e["event"] != "point.dis" for e in events)
 
             # Replay reconstructs the resumed job's final state exactly
-            # as the persisted JobRecord reports it.
+            # as the live JobRecord reports it.
             rep = replay_ledger(events)
             assert rep.job_id == job_id
             assert rep.state == done["state"]

@@ -1,6 +1,9 @@
 """Unit tests for the experiment service: schema, jobs, results, scheduler."""
 
+import io
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -11,13 +14,13 @@ from repro.experiments import (
     scenario_family,
     scenario_to_json,
 )
+from repro.obs import RunLedger, load_ledger, replay_ledger, setup_logging
 from repro.service import (
     ExperimentApi,
     ExperimentScheduler,
     JobNotDone,
     JobNotFound,
     JobRecord,
-    JobStore,
     ResultStore,
     SchemaError,
     parse_request,
@@ -132,35 +135,28 @@ class TestSchema:
 
 
 class TestJobStore:
-    def test_ids_are_monotonic_and_survive_restart(self, tmp_path):
-        store = JobStore(tmp_path)
-        a = store.create(spec_hashes=["0" * 64], request={})
-        b = store.create(spec_hashes=["0" * 64], request={})
-        assert (a.job_id, b.job_id) == ("job-000001", "job-000002")
-        reopened = JobStore(tmp_path)
-        c = reopened.create(spec_hashes=["0" * 64], request={})
-        assert c.job_id == "job-000003"
+    """Job records as their run ledgers store them."""
 
     def test_round_trip_and_unfinished(self, tmp_path):
-        store = JobStore(tmp_path)
-        rec = store.create(spec_hashes=["a" * 64, "b" * 64], request={"version": 1})
-        assert store.get(rec.job_id).n_points == 2
-        assert [r.job_id for r in store.unfinished()] == [rec.job_id]
-        rec.state = "done"
-        store.save(rec)
-        assert store.unfinished() == []
-
-    def test_bad_state_rejected(self, tmp_path):
-        store = JobStore(tmp_path)
-        rec = store.create(spec_hashes=["a" * 64], request={})
-        rec.state = "exploded"
-        with pytest.raises(ValueError, match="unknown job state"):
-            store.save(rec)
-
-    def test_traversal_ids_rejected(self, tmp_path):
-        store = JobStore(tmp_path)
-        assert store.get("../../etc/passwd") is None
-        assert store.get("job-1/../x") is None
+        sched = ExperimentScheduler(tmp_path, auto_start=False)
+        queued = sched.submit(quick_request())
+        finished = sched.submit(quick_request())
+        with RunLedger(sched.ledger_dir / f"{finished.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
+            ledger.append("point.cached", point=1)
+            ledger.append("job.done", duration_s=0.5, release="s.v1")
+        reopened = ExperimentScheduler(tmp_path, auto_start=False)
+        back = reopened.job(queued.job_id)
+        assert (back.n_points, back.request) == (2, quick_request())
+        assert back.spec_hashes == queued.spec_hashes
+        assert back.sweep_hash == queued.sweep_hash
+        # Only the unfinished job is requeued.
+        assert reopened.queue_depth() == 1
+        assert (back.state, back.resumed) == ("queued", 1)
+        done = reopened.job(finished.job_id)
+        assert (done.state, done.points_done, done.cache_hits) == ("done", 2, 1)
+        assert (done.release, done.duration_s, done.resumed) == ("s.v1", 0.5, 0)
 
     def test_status_json_drops_request(self):
         rec = JobRecord(
@@ -176,6 +172,12 @@ class TestJobStore:
         doc = rec.status_json()
         assert "request" not in doc
         assert doc["cache_hit_ratio"] == 0.25
+        # Status polls carry no per-point state.
+        assert set(doc) == {
+            "job_id", "state", "n_points", "spec_hashes", "sweep_hash",
+            "points_done", "cache_hits", "duration_s", "error", "release",
+            "resumed", "cache_hit_ratio",
+        }
 
     def test_sweep_hash_is_order_sensitive(self):
         assert sweep_hash(["a", "b"]) != sweep_hash(["b", "a"])
@@ -309,21 +311,38 @@ class TestScheduler:
         with pytest.raises(SchemaError):
             sched.submit({"version": 1})
         assert sched.audit() == []
-        assert list((tmp_path / "jobs").glob("*.json")) == []
+        assert list(tmp_path.rglob("*.ndjson")) == []
+
+    def test_ids_are_monotonic_and_survive_restart(self, tmp_path):
+        sched = ExperimentScheduler(tmp_path, auto_start=False)
+        a = sched.submit(quick_request())
+        b = sched.submit(quick_request())
+        assert (a.job_id, b.job_id) == ("job-000001", "job-000002")
+        reopened = ExperimentScheduler(tmp_path, auto_start=False)
+        c = reopened.submit(quick_request())
+        assert c.job_id == "job-000003"
+
+    def test_traversal_ids_rejected(self, tmp_path):
+        sched = ExperimentScheduler(tmp_path, auto_start=False)
+        sched.submit(quick_request())
+        for job_id in ("../x", "../../etc/passwd", "job-000001/../x"):
+            with pytest.raises(JobNotFound):
+                sched.job(job_id)
+            with pytest.raises(JobNotFound):
+                sched.ledger_events(job_id)
 
     def test_restart_resumes_checkpointed_job(self, tmp_path):
         # Stage a "killed mid-run" service: the cache checkpoint holds the
-        # first point, the job record is still 'running' on disk.
+        # first point, the job's ledger says 'running' with one point done.
         cold = ExperimentScheduler(tmp_path, auto_start=False)
         record = cold.submit(quick_request())
         scenarios = scenario_family("saturation-sweep", **QUICK)
         warm_cache = EvaluationCache()
         Runner(cache=warm_cache).run(scenarios[:1])
         warm_cache.flush(cold.cache_path)
-        stored = cold.job_store.get(record.job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
+        with RunLedger(cold.ledger_dir / f"{record.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
 
         reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
@@ -344,10 +363,7 @@ class TestScheduler:
         # cache.json (format 1) with this job's points under wrong
         # metrics. Its entries carry no semantics epoch: boot warns once,
         # neither reads nor deletes it, and the job runs its points fresh.
-        import io
-
         from repro.experiments import scenario_hash
-        from repro.obs import setup_logging
 
         scenarios = scenario_family("saturation-sweep", **QUICK)
         legacy = tmp_path / "cache.json"
@@ -378,7 +394,7 @@ class TestScheduler:
 
     def test_metrics_match_job_store_after_kill_resume(self, tmp_path):
         # The registry's counters must tell the same story as the job
-        # store's ground truth across a staged kill + resume.
+        # records' ground truth across a staged kill + resume.
         from repro.obs import metrics_snapshot, reset_metrics
 
         reset_metrics()
@@ -388,10 +404,9 @@ class TestScheduler:
         warm_cache = EvaluationCache()
         Runner(cache=warm_cache).run(scenarios[:1])
         warm_cache.flush(cold.cache_path)
-        stored = cold.job_store.get(record.job_id)
-        stored.state = "running"
-        stored.points_done = 1
-        cold.job_store.save(stored)
+        with RunLedger(cold.ledger_dir / f"{record.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
 
         reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
@@ -399,7 +414,7 @@ class TestScheduler:
         finally:
             reborn.stop()
         counters = metrics_snapshot()["counters"]
-        records = reborn.job_store.all()
+        records = reborn.audit()
         assert counters["scheduler.jobs.submitted"] == 1
         assert counters["scheduler.jobs.requeued"] == 1
         assert (
@@ -414,6 +429,151 @@ class TestScheduler:
         )
         assert reborn.jobs_by_state() == {"done": 1}
         assert reborn.queue_depth() == 0
+
+    def test_restart_rebuilds_every_job_from_its_ledger(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        def boom(scenario, **kwargs):
+            raise RuntimeError("boom")
+
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        done = sched.wait(sched.submit(quick_request()).job_id, timeout=120)
+        with monkeypatch.context() as m:
+            m.setattr(runner_mod, "evaluate_scenario", boom)
+            failing = sched.submit(quick_request(params={"rates": [0.3], "cycles": 300}))
+            failed = sched.wait(failing.job_id, timeout=120)
+        sched.stop()
+        queued = sched.submit(quick_request(params={"rates": [0.2], "cycles": 300}))
+        interrupted = sched.submit(
+            quick_request(params={"rates": [0.15, 0.25], "cycles": 300})
+        )
+        with RunLedger(sched.ledger_dir / f"{interrupted.job_id}.ndjson") as ledger:
+            ledger.append("job.running")
+            ledger.append("point.completed", point=0, cached=False)
+            ledger.append("job.interrupted", points_done=1)
+        assert (done.state, failed.state) == ("done", "failed")
+        assert failed.error == "RuntimeError: boom"
+        assert failed.duration_s is not None
+        before = {d["job_id"]: d for d in sched.audit_json()}
+
+        reborn = ExperimentScheduler(tmp_path, auto_start=False, poll_interval=0.005)
+        after = {d["job_id"]: d for d in reborn.audit_json()}
+        assert after[done.job_id] == before[done.job_id]
+        assert after[failed.job_id] == before[failed.job_id]
+        for job_id in (queued.job_id, interrupted.job_id):
+            assert after[job_id]["state"] == "queued"
+            assert after[job_id]["resumed"] == 1
+        assert reborn.result_metrics(done.job_id) == sched.result_metrics(done.job_id)
+        assert reborn.release(done.job_id).release_id == done.release
+        reborn.start()
+        try:
+            for job_id in (queued.job_id, interrupted.job_id):
+                assert reborn.wait(job_id, timeout=120).state == "done"
+        finally:
+            reborn.stop()
+
+    def test_pre_ledger_state_dir_is_ignored(self, tmp_path):
+        # A state dir from before the ledger was the only job record: a
+        # jobs/ directory of JSON records, and ledgers whose job.submitted
+        # carries no request. Boot warns once, neither lists nor resumes
+        # those jobs, leaves jobs/ alone, and never reuses their ids.
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        legacy = jobs_dir / "job-000001.json"
+        legacy.write_text(
+            json.dumps({"job_id": "job-000001", "state": "running", "n_points": 2})
+        )
+        before = legacy.read_bytes()
+        with RunLedger(tmp_path / "ledger" / "job-000002.ndjson") as ledger:
+            ledger.append("job.submitted", n_points=2, sweep="0" * 64)
+            ledger.append("point.queued", point=0)
+            ledger.append("point.queued", point=1)
+            ledger.append("job.running")
+        stream = io.StringIO()
+        setup_logging("warning", stream=stream)
+        sched = ExperimentScheduler(tmp_path, auto_start=False)
+        assert sched.audit() == []
+        assert sched.queue_depth() == 0
+        assert sched.submit(quick_request()).job_id == "job-000003"
+        assert legacy.read_bytes() == before
+        log = stream.getvalue()
+        assert log.count(str(jobs_dir)) == 1
+        assert "old_ledgers=1" in log
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_finished_jobs_close_their_ledgers(self, tmp_path):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        def run_job():
+            job_id = sched.submit(quick_request()).job_id
+            assert sched.wait(job_id, timeout=120).state == "done"
+            sched.job_spans(job_id)  # returns once the job left the dispatcher
+
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            run_job()
+            before = open_fds()
+            for _ in range(5):
+                run_job()
+            assert open_fds() <= before
+        finally:
+            sched.stop()
+
+    def test_failing_job_does_not_stop_the_dispatcher(self, tmp_path, monkeypatch):
+        append = RunLedger.append
+        raised = []
+
+        def flaky_append(ledger, event, **data):
+            if event == "job.running" and not raised:
+                raised.append(ledger.job_id)
+                raise OSError(24, "Too many open files")
+            return append(ledger, event, **data)
+
+        monkeypatch.setattr(RunLedger, "append", flaky_append)
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            first = sched.submit(quick_request())
+            second = sched.submit(quick_request())
+            failed = sched.wait(first.job_id, timeout=30)
+            assert failed.state == "failed"
+            assert "Too many open files" in failed.error
+            assert sched.wait(second.job_id, timeout=120).state == "done"
+        finally:
+            sched.stop()
+        assert raised == [first.job_id]
+        events = load_ledger(sched.ledger_dir / f"{first.job_id}.ndjson")
+        assert events[-1]["event"] == "job.failed"
+        assert replay_ledger(events).state == "failed"
+
+    def test_submit_events_precede_dispatch(self, tmp_path, monkeypatch):
+        append = RunLedger.append
+
+        def slow_append(ledger, event, **data):
+            if event == "point.queued":
+                time.sleep(0.03)
+            return append(ledger, event, **data)
+
+        monkeypatch.setattr(RunLedger, "append", slow_append)
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            request = quick_request(params={"rates": [0.05, 0.1, 0.15], "cycles": 300})
+            job_id = sched.submit(request).job_id
+            assert sched.wait(job_id, timeout=120).state == "done"
+        finally:
+            sched.stop()
+        events = sched.ledger_events(job_id)
+        assert [e["event"] for e in events[:4]] == [
+            "job.submitted",
+            "point.queued",
+            "point.queued",
+            "point.queued",
+        ]
+        assert replay_ledger(events).point_states == {
+            i: "completed" for i in range(3)
+        }
 
     def test_job_spans_capture_the_runner_trace(self, tmp_path):
         from repro.obs import export_trace
