@@ -3,14 +3,13 @@
 from repro.simulation.batch import BatchSimulator
 from repro.simulation.energy import sim_dynamic_energy_j
 from repro.simulation.flit import Flit, Packet
-from repro.simulation.router import (
+from repro.simulation.simulator import (
     LOCAL_PORT,
-    InputPort,
-    OutputPort,
-    RouterState,
-    VirtualChannel,
+    SimConfig,
+    SimStats,
+    Simulator,
+    SlotLayout,
 )
-from repro.simulation.simulator import SimConfig, SimStats, Simulator
 from repro.simulation.workload import (
     LoadPoint,
     latency_throughput_sweep,
@@ -23,13 +22,10 @@ __all__ = [
     "Flit",
     "Packet",
     "LOCAL_PORT",
-    "InputPort",
-    "OutputPort",
-    "RouterState",
-    "VirtualChannel",
     "SimConfig",
     "SimStats",
     "Simulator",
+    "SlotLayout",
     "LoadPoint",
     "latency_throughput_sweep",
     "synthetic_trace",

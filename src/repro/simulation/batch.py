@@ -23,10 +23,12 @@ fixtures and the Hypothesis differential tests pin that.
 
 How the vectorized pass stays exact:
 
-* **Shared family state.** Topology link tables, the routing table's
-  next-link LUT, dateline VC ranges and per-flit energy figures are
-  computed once per (topology, config) *family* and shared by every run
-  in every batch — not rebuilt per run as the interpreter does.
+* **Shared family state.** The interpreter's slot and output-port
+  layout (:class:`~repro.simulation.simulator.SlotLayout`: slot order,
+  upstream credit targets, dateline VC ranges, link tables), the
+  routing table's next-link LUT and per-flit energy figures are turned
+  into arrays once per (topology, config) *family* and shared by every
+  run in every batch.
 * **Batch lockstep.** Per-(run, router, port, VC) state lives in arrays
   of shape ``(B, slots)``; one pass over those arrays advances all runs
   by one cycle. Runs keep independent clocks (idle stretches are
@@ -78,9 +80,9 @@ class _Family:
     """Immutable per-(topology, config) tables shared by all batches."""
 
     def __init__(self, topo: Topology, routing: RoutingTable, cfg: SimConfig):
-        # Borrow the interpreter's precomputed link/dateline tables so
-        # the two engines share one source of truth for the semantics.
-        ref = Simulator(topo, routing, cfg)
+        # The interpreter's slot / output-port layout, as arrays: both
+        # engines read one layout (see SlotLayout for the numbering).
+        lay = Simulator(topo, routing, cfg).layout
         n, v = topo.n_nodes, cfg.n_vcs
         self.n_nodes = n
         self.n_vcs = v
@@ -88,102 +90,35 @@ class _Family:
         self.pipeline = cfg.router_pipeline
         self.n_links = topo.n_links
 
-        self.link_src = np.asarray(ref._link_src, dtype=np.int64)
-        self.link_dst = np.asarray(ref._link_dst, dtype=np.int64)
-        self.link_express = np.asarray(ref._link_is_express, dtype=bool)
-        self.link_row = np.asarray(ref._is_row_link, dtype=bool)
-        self.link_cyc = np.asarray(
-            [cfg.link_cycles(l.technology) for l in topo.links], dtype=np.int64
-        )
-        self.max_link_cyc = int(self.link_cyc.max()) if topo.n_links else 1
+        self.link_express = np.asarray(lay.link_express, dtype=bool)
+        self.link_row = np.asarray(lay.link_row, dtype=bool)
+        self.link_cyc = np.asarray(lay.link_cycles, dtype=np.int64)
+        self.dest_slot = np.asarray(lay.link_slot, dtype=np.int64)
 
-        # Input-VC slot layout. Slot order within a router *is* the
-        # interpreter's scan order: LOCAL port first, then in-links in
-        # link-id order, times VC index.
-        in_keys: list[list[int]] = [[] for _ in range(n)]
-        out_keys: list[list[int]] = [[] for _ in range(n)]
-        for link in topo.links:
-            in_keys[link.dst].append(link.link_id)
-            out_keys[link.src].append(link.link_id)
-        slot_router: list[int] = []
-        slot_link: list[int] = []
-        slot_vc: list[int] = []
-        slot_port: list[int] = []
-        self.slot_lo = np.zeros(n + 1, dtype=np.int64)
-        port_id = 0
-        for node in range(n):
-            self.slot_lo[node] = len(slot_router)
-            for key in (-1, *in_keys[node]):
-                for vc in range(v):
-                    slot_router.append(node)
-                    slot_link.append(key)
-                    slot_vc.append(vc)
-                    slot_port.append(port_id)
-                port_id += 1
-        self.slot_lo[n] = len(slot_router)
-        self.n_slots = len(slot_router)
-        self.n_ports = port_id
-        self.slot_router = np.asarray(slot_router, dtype=np.int64)
-        self.slot_link = np.asarray(slot_link, dtype=np.int64)
-        self.slot_vc = np.asarray(slot_vc, dtype=np.int64)
-        self.slot_port = np.asarray(slot_port, dtype=np.int64)
+        self.slot_lo = np.asarray(lay.slot_lo, dtype=np.int64)
+        self.n_slots = int(self.slot_lo[n])
+        self.slot_router = np.repeat(np.arange(n), np.diff(self.slot_lo))
+        self.slot_port = np.arange(self.n_slots) // v  # global input port
+        self.n_ports = self.n_slots // v
 
-        # Output-port layout: per router, out-links then the LOCAL sink.
-        op_router: list[int] = []
-        op_link: list[int] = []
-        op_sink: list[bool] = []
-        self.op_of_link = np.full(max(topo.n_links, 1), -1, dtype=np.int64)
-        self.op_local = np.zeros(n, dtype=np.int64)
-        for node in range(n):
-            for key in out_keys[node]:
-                self.op_of_link[key] = len(op_router)
-                op_router.append(node)
-                op_link.append(key)
-                op_sink.append(False)
-            self.op_local[node] = len(op_router)
-            op_router.append(node)
-            op_link.append(-1)
-            op_sink.append(True)
-        self.n_ops = len(op_router)
-        self.op_router = np.asarray(op_router, dtype=np.int64)
-        self.op_link = np.asarray(op_link, dtype=np.int64)
-        self.op_sink = np.asarray(op_sink, dtype=bool)
+        # Output port p < n_links is link p; n_links + node is the sink.
+        self.n_ops = self.n_links + n
+        self.op_sink = np.arange(self.n_ops) >= self.n_links
+        self.vr_lo = np.asarray(lay.port_vc_lo, dtype=np.int64)
+        self.vr_span = np.asarray(lay.port_vc_span, dtype=np.int64)
 
-        # Dateline VC ranges per (class, output port), via the
-        # interpreter's own _vc_range (None means the full range).
-        self.vr_lo = np.zeros((2, self.n_ops), dtype=np.int64)
-        self.vr_span = np.full((2, self.n_ops), v, dtype=np.int64)
-        for op in range(self.n_ops):
-            link = int(self.op_link[op])
-            if link < 0:
-                continue
-            for cls in (0, 1):
-                rng = ref._vc_range(cls, link)
-                if rng is not None:
-                    self.vr_lo[cls, op] = rng[0]
-                    self.vr_span[cls, op] = rng[1] - rng[0]
-
-        # Per-slot upstream credit target and per-link downstream slot.
-        up = np.full(self.n_slots, -1, dtype=np.int64)
-        up_router = np.full(self.n_slots, -1, dtype=np.int64)
-        mask = self.slot_link >= 0
-        up[mask] = (
-            self.op_of_link[self.slot_link[mask]] * v + self.slot_vc[mask]
-        )
-        up_router[mask] = self.link_src[self.slot_link[mask]]
+        # Per-slot upstream credit target (-1: LOCAL port).
+        up = np.asarray(lay.slot_up, dtype=np.int64)
         self.up_oslot = up
-        self.up_router = up_router
+        self.up_safe = np.where(up >= 0, up, 0)
+        up_router = np.full(self.n_slots, -1, dtype=np.int64)
+        has_up = up >= 0
+        link_src = np.asarray([link.src for link in topo.links], dtype=np.int64)
+        up_router[has_up] = link_src[up[has_up] // v]
         # Slots whose instant credit return could *enable* a later router
         # (upstream node numbered higher than this one) — the exactness
         # guard only has to inspect these.
         self.up_enab = up_router > self.slot_router
-        self.up_safe = np.where(up >= 0, up, 0)
-        dest = np.zeros(max(topo.n_links, 1), dtype=np.int64)
-        for link in topo.links:
-            node = link.dst
-            base = int(self.slot_lo[node]) + v  # LOCAL port occupies [0, v)
-            dest[link.link_id] = base + in_keys[node].index(link.link_id) * v
-        self.dest_slot = dest
 
         # The routing table's dense next-link LUT, shared by every run.
         self.route_lut = routing.route_lut
@@ -332,8 +267,8 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
 class BatchSimulator:
     """Batched vectorized engine over one (topology, config) family.
 
-    Construction precomputes the family tables (link maps, dateline VC
-    ranges) and borrows the routing table's LUT; :meth:`run_batch` then
+    Construction turns the interpreter's layout into the family tables
+    and borrows the routing table's LUT; :meth:`run_batch` then
     evaluates many traces through the shared state, and :meth:`run` is the
     drop-in single-run equivalent of
     :meth:`repro.simulation.Simulator.run` (same ``SimStats``,
@@ -597,7 +532,7 @@ class BatchSimulator:
             local = rtr == dst
             lnk = fam.route_lut[rtr, dst]
             safe = np.where(local, 0, lnk)
-            opx = np.where(local, fam.op_local[rtr], fam.op_of_link[safe])
+            opx = np.where(local, fam.n_links + rtr, lnk)
             cls = np.where(
                 local,
                 0,
@@ -827,7 +762,7 @@ class BatchSimulator:
             np.add.at(st.delivered, gb[ej], 1)
         if ns.any():
             sb, sp_, svc = gb[ns], gp[ns], gvc[ns]
-            lnk = fam.op_link[gop[ns]]
+            lnk = gop[ns]
             np.add.at(st.link_counts, (sb, lnk), 1)
             exp = fam.link_express[lnk]
             if exp.any():
@@ -896,18 +831,17 @@ class BatchSimulator:
                 rtr = int(fam.slot_router[s])
                 dst = int(st.p_dst[pkt])
                 if rtr == dst:
-                    op_t = int(fam.op_local[rtr])
+                    op_t = fam.n_links + rtr
                 else:
-                    op_t = int(fam.op_of_link[fam.route_lut[rtr, dst]])
+                    op_t = int(fam.route_lut[rtr, dst])
                 rr = int(st.vc_rr[b, op_t])
                 st.vc_rr[b, op_t] = (rr + 1) % v
                 if fam.op_sink[op_t]:
                     got = 0
                 else:
-                    lnk = int(fam.op_link[op_t])
-                    if fam.link_express[lnk]:
+                    if fam.link_express[op_t]:
                         cls = 1
-                    elif fam.link_row[lnk]:
+                    elif fam.link_row[op_t]:
                         cls = int(st.cls_x[pkt])
                     else:
                         cls = int(st.cls_y[pkt])
@@ -966,16 +900,15 @@ class BatchSimulator:
                     st.lat[pkt] = tb + 1 - int(st.p_time[pkt])
                     st.delivered[b] += 1
             else:
-                lnk = int(fam.op_link[op])
-                st.link_counts[b, lnk] += 1
-                if fam.link_express[lnk]:
-                    if fam.link_row[lnk]:
+                st.link_counts[b, op] += 1
+                if fam.link_express[op]:
+                    if fam.link_row[op]:
                         st.cls_x[pkt] = 1
                     else:
                         st.cls_y[pkt] = 1
-                arr = tb + int(fam.link_cyc[lnk])
+                arr = tb + int(fam.link_cyc[op])
                 row = np.asarray(
-                    [[int(fam.dest_slot[lnk]) + ovc, pkt, fidx,
+                    [[int(fam.dest_slot[op]) + ovc, pkt, fidx,
                       arr + fam.pipeline]],
                     dtype=np.int64,
                 )

@@ -22,17 +22,21 @@ paper's operating points): credits return instantly rather than after a
 stallable — contention is resolved at the switch-allocation point.
 
 Performance notes (per the HPC guides: measure, then optimize the loop that
-matters — ``repro bench run --name simulator_run`` is the measurement): per
-cycle the simulator touches only *occupied* VCs of *active* routers and only
-sources with injection work, so cost scales with in-flight flits rather than
-network size. The hot loop additionally works off precomputed per-link
-tables (destination, express flag, dateline VC ranges), the routing
-table's next-link LUT, flattened per-router VC scan lists, plain-int
-statistics counters (converted to numpy once at the end) and a preallocated
-latency buffer, and fast-forwards over event-free stretches of the clock.
-All of this is observably identical to the straightforward loop — scan
-order, round-robin state and heap tie-breaks are preserved bit-for-bit
-(``tests/unit/test_simulator_golden.py`` pins that).
+matters — ``repro bench run --name simulator_run`` is the measurement): the
+state of a run is a handful of flat Python lists over one
+:class:`SlotLayout` — per input-VC slot a flit FIFO and the allocated route,
+per output VC its credits and busy flag, per output port two round-robin
+pointers — and the VC/switch allocators and the credit protocol are inlined
+statements of one loop, not method calls on per-router objects. The
+batched engine (:mod:`repro.simulation.batch`) reads the same layout. Per
+cycle the loop touches only *occupied* VCs of *active* routers (one
+occupancy bitmask per router) and only sources with injection work, so
+cost scales with in-flight flits rather than network size; statistics are
+plain-int counters converted to numpy once at the end, and event-free
+stretches of the clock are fast-forwarded. All of this is observably
+identical to the straightforward loop — scan order, round-robin state and
+heap tie-breaks are preserved bit-for-bit (``tests/unit/test_simulator_golden.py``
+and ``tests/unit/test_hooked_golden.py`` pin that).
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ import heapq
 import math
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.simulation.flit import Flit, Packet
-from repro.simulation.router import LOCAL_PORT, RouterState
 from repro.tech.parameters import Technology
 from repro.topology.graph import LinkKind, Topology
 from repro.topology.routing import RoutingTable
@@ -59,7 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telemetry -> sim)
     from repro.obs.profile import PhaseProfile
     from repro.telemetry.sampler import TelemetryConfig, TelemetryTrace
 
-__all__ = ["SimConfig", "SimStats", "Simulator"]
+__all__ = ["LOCAL_PORT", "SimConfig", "SimStats", "SlotLayout", "Simulator"]
+
+#: Port key of the node-local injection/ejection port (link ids key the rest).
+LOCAL_PORT = -1
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,56 @@ class SimStats:
         return float(self.link_flit_counts.sum() / self.n_flits)
 
 
+class SlotLayout(NamedTuple):
+    """Slot and output-port layout of one ``(topology, SimConfig)``.
+
+    Input-VC *slots* are numbered router by router; within a router the
+    order is the defined scan order of both engines: the LOCAL port first,
+    then in-links in link-id order, times VC index. Every input port owns
+    ``n_vcs`` consecutive slots, so a slot's input port is
+    ``slot // n_vcs`` (``(slot - slot_lo[node]) // n_vcs`` within its
+    router). *Output port* ``p < n_links`` is link ``p`` (the routing
+    LUT's next-link id is the output port); port ``n_links + node`` is
+    ``node``'s ejection sink. Output VC ``vc`` of port ``p`` is
+    ``p * n_vcs + vc``.
+    """
+
+    slot_lo: list[int]
+    """Per node, its first slot; ``slot_lo[n_nodes]`` is the slot count."""
+    slot_up: list[int]
+    """Per slot, the upstream output VC its pops credit (-1: LOCAL port)."""
+    link_slot: list[int]
+    """Per link, the destination router's slot for VC 0."""
+    link_dst: list[int]
+    link_cycles: list[int]
+    link_express: list[bool]
+    link_row: list[bool]
+    """Row (X-phase) link, as opposed to a column (Y-phase) link."""
+    port_vc_lo: tuple[list[int], list[int]]
+    """Per dateline class, per output port: first allocatable VC."""
+    port_vc_span: tuple[list[int], list[int]]
+    """Per dateline class, per output port: allocatable VC count."""
+
+
+class _RunState(NamedTuple):
+    """Mutable state of one run over a :class:`SlotLayout`."""
+
+    fifos: list[deque[Flit]]
+    """Per slot, the buffered flits."""
+    route: list[int]
+    """Per slot, the output port allocated to its packet (-1: none)."""
+    route_vc: list[int]
+    """Per slot, the output VC (``port * n_vcs + vc``) allocated to its packet."""
+    credits: list[int]
+    """Per output VC, free slots in the downstream buffer."""
+    busy: list[bool]
+    """Per output VC, allocated to an in-flight packet."""
+    vc_rr: list[int]
+    """Per output port, the VC-allocation round-robin pointer."""
+    sa_rr: list[int]
+    """Per output port, the switch-allocation round-robin pointer."""
+
+
 class Simulator:
     """Trace-driven cycle simulator over one topology."""
 
@@ -151,52 +208,70 @@ class Simulator:
         if self.routing.topology is not topo:
             raise ValueError("routing table belongs to a different topology")
         self.config = config
-        self._in_keys: dict[int, list[int]] = {n: [] for n in range(topo.n_nodes)}
-        self._out_keys: dict[int, list[int]] = {n: [] for n in range(topo.n_nodes)}
-        for link in topo.links:
-            self._in_keys[link.dst].append(link.link_id)
-            self._out_keys[link.src].append(link.link_id)
+        links = topo.links
         # Row (X-phase) vs column (Y-phase) links: torus-like dependency
         # cycles live within one dimension's line graphs, so the dateline
         # scheme partitions each dimension independently and only when that
         # dimension actually has express links.
         self._is_row_link = [
-            topo.coords(l.src)[1] == topo.coords(l.dst)[1] for l in topo.links
+            topo.coords(l.src)[1] == topo.coords(l.dst)[1] for l in links
         ]
+        express = [l.kind is LinkKind.EXPRESS for l in links]
         self._row_has_express = any(
-            l.kind is LinkKind.EXPRESS and self._is_row_link[l.link_id]
-            for l in topo.links
+            e and r for e, r in zip(express, self._is_row_link)
         )
         self._col_has_express = any(
-            l.kind is LinkKind.EXPRESS and not self._is_row_link[l.link_id]
-            for l in topo.links
+            e and not r for e, r in zip(express, self._is_row_link)
         )
-        self._routers: list[RouterState] = []
-        # Hot-loop tables (immutable per simulator): per-link destination /
-        # source nodes, express flags, per-class dateline VC ranges, and
-        # the routing table's next-link LUT (a memoryview: indexing it
-        # yields plain ints without copying the n x n array).
-        self._link_dst = [l.dst for l in topo.links]
-        self._link_src = [l.src for l in topo.links]
-        self._link_is_express = [l.kind is LinkKind.EXPRESS for l in topo.links]
-        self._vc_range_tab = (
-            [self._vc_range(0, l.link_id) for l in topo.links],
-            [self._vc_range(1, l.link_id) for l in topo.links],
+
+        v = config.n_vcs
+        in_links: list[list[int]] = [[] for _ in range(topo.n_nodes)]
+        for link in links:
+            in_links[link.dst].append(link.link_id)
+        slot_lo: list[int] = []
+        slot_up: list[int] = []
+        link_slot = [0] * topo.n_links
+        for node in range(topo.n_nodes):
+            slot_lo.append(len(slot_up))
+            slot_up.extend([-1] * v)  # the LOCAL port
+            for link_id in in_links[node]:
+                link_slot[link_id] = len(slot_up)
+                slot_up.extend(range(link_id * v, link_id * v + v))
+        slot_lo.append(len(slot_up))
+        ranges = [
+            [self._vc_range(cls, key) or (0, v) for key in range(topo.n_links)]
+            + [(0, v)] * topo.n_nodes
+            for cls in (0, 1)
+        ]
+        self.layout = SlotLayout(
+            slot_lo=slot_lo,
+            slot_up=slot_up,
+            link_slot=link_slot,
+            link_dst=[l.dst for l in links],
+            link_cycles=[config.link_cycles(l.technology) for l in links],
+            link_express=express,
+            link_row=self._is_row_link,
+            port_vc_lo=tuple([lo for lo, _ in r] for r in ranges),
+            port_vc_span=tuple([hi - lo for lo, hi in r] for r in ranges),
         )
+        # The routing table's next-link LUT as a memoryview: indexing it
+        # yields plain ints without copying the n x n array.
         self._route_lut = memoryview(self.routing.route_lut)
 
-    def _fresh_routers(self) -> list[RouterState]:
-        """Build pristine router state (run() starts from a cold network)."""
-        return [
-            RouterState(
-                node,
-                self._in_keys[node],
-                self._out_keys[node],
-                n_vcs=self.config.n_vcs,
-                vc_depth=self.config.vc_depth,
-            )
-            for node in range(self.topology.n_nodes)
-        ]
+    def _fresh_state(self) -> _RunState:
+        """Pristine run state (run() starts from a cold network)."""
+        n_slots = self.layout.slot_lo[-1]
+        n_ports = self.topology.n_links + self.topology.n_nodes
+        n_out_vcs = n_ports * self.config.n_vcs
+        return _RunState(
+            fifos=[deque() for _ in range(n_slots)],
+            route=[-1] * n_slots,
+            route_vc=[0] * n_slots,
+            credits=[self.config.vc_depth] * n_out_vcs,
+            busy=[False] * n_out_vcs,
+            vc_rr=[0] * n_ports,
+            sa_rr=[0] * n_ports,
+        )
 
     def _vc_range(self, vc_class: int, out_key: int) -> tuple[int, int] | None:
         """Dateline VC partition for a packet class (None = all VCs).
@@ -308,49 +383,41 @@ class Simulator:
             telem_next = max_cycles + 1  # unreachable sentinel: never flushes
 
         cfg = self.config
-        topo = self.topology
         pipeline = cfg.router_pipeline
-        links = topo.links
-        n_nodes = topo.n_nodes
-        link_tech_cycles = [cfg.link_cycles(l.technology) for l in links]
+        n_vcs = cfg.n_vcs
+        vc_depth = cfg.vc_depth
+        n_nodes = self.topology.n_nodes
+        n_links = self.topology.n_links
         # Statistics as plain ints in the loop; one numpy conversion at the
         # end (per-element ndarray increments cost ~10x a list index).
-        link_counts = [0] * topo.n_links
+        link_counts = [0] * n_links
         router_counts = [0] * n_nodes
-        self._routers = self._fresh_routers()
-        routers = self._routers
 
         # Hot-loop locals: every name below is looked up once, not per cycle.
-        link_dst = self._link_dst
-        link_src = self._link_src
-        link_is_express = self._link_is_express
-        is_row_link = self._is_row_link
-        vc_range_cls0, vc_range_cls1 = self._vc_range_tab
+        lay = self.layout
+        slot_lo = lay.slot_lo
+        slot_up = lay.slot_up
+        link_slot = lay.link_slot
+        link_dst = lay.link_dst
+        link_cycles = lay.link_cycles
+        link_express = lay.link_express
+        link_row = lay.link_row
+        vc_lo = lay.port_vc_lo
+        vc_span = lay.port_vc_span
         route_lut = self._route_lut
         heappush = heapq.heappush
         heappop = heapq.heappop
-
-        # Static per-router scan lists in exactly the order the original
-        # nested loop visited VCs (in_ports insertion order x VC index).
-        # Occupancy is tracked as one bitmask per router (bit i == scan
-        # slot i holds flits), maintained at the three push/pop sites, so
-        # the per-cycle scan walks only *occupied* VCs — and ascending bit
-        # order reproduces the original scan order exactly.
-        vc_scan = [
-            [
-                (in_key, vc_idx, vc, vc.flits)
-                for in_key, in_port in r.in_ports.items()
-                for vc_idx, vc in enumerate(in_port.vcs)
-            ]
-            for r in routers
-        ]
-        n_vcs = cfg.n_vcs
-        port_base: list[dict[int, int]] = [
-            {in_key: i * n_vcs for i, in_key in enumerate(r.in_ports)}
-            for r in routers
-        ]
+        fifos, route, route_vc, credits, busy, vc_rr, sa_rr = self._fresh_state()
+        # Occupancy as one bitmask per router (bit i == the router's i-th
+        # slot holds flits), kept at the push/pop sites, so the per-cycle
+        # scan walks only occupied slots — ascending bit order is the scan
+        # order. port_bit[i] is the input port of a router's i-th slot, as
+        # a bit of the switch allocator's input_used mask.
         occ_mask = [0] * n_nodes
-        in_vcs = [{k: p.vcs for k, p in r.in_ports.items()} for r in routers]
+        port_bit = [
+            1 << (i // n_vcs)
+            for i in range(max(b - a for a, b in zip(slot_lo, slot_lo[1:])))
+        ]
 
         packets = [
             Packet(
@@ -366,7 +433,7 @@ class Simulator:
         if closed_loop is not None:
             # The session releases each source's first window of requests
             # up front; later releases arrive from the delivery hook.
-            initial = closed_loop.begin(len(packets), self.topology.n_nodes)
+            initial = closed_loop.begin(len(packets), n_nodes)
             packets.extend(initial)
             n_flits += sum(p.size_flits for p in initial)
         n_packets = len(packets)
@@ -443,11 +510,15 @@ class Simulator:
             # ---- 1. link arrivals -------------------------------------------
             while flight and flight[0][0] <= t:
                 _, _, flit, link_id, vc_idx = heappop(flight)
-                dst_node = link_dst[link_id]
+                s = link_slot[link_id] + vc_idx
+                fifo = fifos[s]
+                if len(fifo) >= vc_depth:
+                    raise OverflowError("VC buffer overflow: credit protocol violated")
                 flit.ready_time = t + pipeline
-                in_vcs[dst_node][link_id][vc_idx].push(flit)
-                occ_mask[dst_node] |= 1 << (port_base[dst_node][link_id] + vc_idx)
-                active.add(dst_node)
+                fifo.append(flit)
+                node = link_dst[link_id]
+                occ_mask[node] |= 1 << (s - slot_lo[node])
+                active.add(node)
             if prof is not None:
                 _t2 = _pns()
                 _ph_arr += _t2 - _t
@@ -462,8 +533,7 @@ class Simulator:
             # packets already mid-injection always continue.
             admit = throttle_period == 1 or t % throttle_period == 0
             for node in inj_active:
-                router = routers[node]
-                inj = router.in_ports[LOCAL_PORT]
+                base = slot_lo[node]  # the LOCAL port's VCs come first
                 flit = pending_flit[node]
                 queue = source_queues[node]
                 pos = src_pos[node]
@@ -473,25 +543,33 @@ class Simulator:
                     and pos < len(queue)
                     and queue[pos].inject_time <= t
                 ):
-                    if vc_limits is None:
-                        vc_idx = inj.free_vc(pending_vc[node])
-                    else:
-                        vc_idx = inj.free_vc(pending_vc[node], vc_limits[node])
-                    if vc_idx is not None:
-                        pending_vc[node] = vc_idx
-                        flit = Flit(queue[pos], 0)
-                        src_pos[node] = pos + 1
-                        pos += 1
+                    # A new packet takes an idle injection VC (empty, no
+                    # route), round-robin from the last one used; a control
+                    # session's limit confines it to VCs 0..limit-1.
+                    start = pending_vc[node]
+                    usable = n_vcs
+                    if vc_limits is not None and vc_limits[node] < n_vcs:
+                        usable = vc_limits[node]
+                    for i in range(usable):
+                        vc_idx = (start + i) % usable
+                        if not fifos[base + vc_idx] and route[base + vc_idx] < 0:
+                            pending_vc[node] = vc_idx
+                            flit = Flit(queue[pos], 0)
+                            src_pos[node] = pos = pos + 1
+                            break
                 if flit is not None:
-                    vc = inj.vcs[pending_vc[node]]
-                    if vc.has_space:
+                    vc_idx = pending_vc[node]
+                    fifo = fifos[base + vc_idx]
+                    if len(fifo) < vc_depth:
                         flit.ready_time = t + pipeline
-                        vc.push(flit)
-                        # LOCAL_PORT is the first in_ports entry: base 0.
-                        occ_mask[node] |= 1 << pending_vc[node]
+                        fifo.append(flit)
+                        occ_mask[node] |= 1 << vc_idx
                         active.add(node)
+                        pkt = flit.packet
                         pending_flit[node] = (
-                            None if flit.is_tail else Flit(flit.packet, flit.index + 1)
+                            None
+                            if flit.index == pkt.size_flits - 1
+                            else Flit(pkt, flit.index + 1)
                         )
                     else:
                         pending_flit[node] = flit  # stalled; retry next cycle
@@ -517,105 +595,106 @@ class Simulator:
             # engines to agree bit-for-bit.
             idle_routers: list[int] = []
             for node in sorted(active):
-                # Occupied VCs this cycle (the only ones that can do work):
-                # walk the occupancy bits in ascending slot order, which is
-                # exactly the order the full scan used to visit VCs.
                 m = occ_mask[node]
                 if not m:
                     idle_routers.append(node)
                     continue
-                scan = vc_scan[node]
-                router = routers[node]
-                out_ports = router.out_ports
+                base = slot_lo[node]
 
-                # VC allocation for ready head flits without a route.
-                requests: dict[int, list[tuple]] = {}
+                # VC allocation for ready head flits without a route; every
+                # ready flit with a route and downstream space requests its
+                # output port (requests: port -> the router's slot indices).
+                requests: dict[int, list[int]] = {}
                 while m:
                     low = m & -m
                     m ^= low
-                    entry = scan[low.bit_length() - 1]
-                    in_key, vc_idx, vc, flits = entry
-                    head = flits[0]
+                    i = low.bit_length() - 1
+                    s = base + i
+                    head = fifos[s][0]
                     if head.ready_time > t:
                         continue
-                    out_key = vc.out_port
-                    if out_key is None:
+                    port = route[s]
+                    if port < 0:
                         if head.index != 0:  # pragma: no cover - invariant
                             raise RuntimeError("body flit without VC allocation")
                         pkt = head.packet
                         dst = pkt.dst
                         if node == dst:
-                            out_key = LOCAL_PORT
+                            port = n_links + node  # the ejection sink
+                            out_vc = port * n_vcs
                         else:
-                            out_key = route_lut[node, dst]
-                        out_port = out_ports[out_key]
-                        # Dateline promotion happens when *requesting* the
-                        # VC behind an express link, so the express input
-                        # buffer itself is already a class-1 resource.
-                        # Row and column datelines are independent.
-                        if out_key == LOCAL_PORT:
-                            vc_range = None
-                        else:
-                            if link_is_express[out_key]:
+                            port = route_lut[node, dst]
+                            # Dateline promotion happens when *requesting*
+                            # the VC behind an express link, so the express
+                            # input buffer itself is already a class-1
+                            # resource. Row and column datelines are
+                            # independent.
+                            if link_express[port]:
                                 cls = 1
-                            elif is_row_link[out_key]:
+                            elif link_row[port]:
                                 cls = pkt.vc_class
                             else:
                                 cls = pkt.vc_class_y
-                            vc_range = (
-                                vc_range_cls1[out_key]
-                                if cls
-                                else vc_range_cls0[out_key]
-                            )
-                        got = out_port.allocate_vc(
-                            router.next_vc_rr(out_key), vc_range
-                        )
-                        if got is None:
-                            continue
-                        vc.out_port = out_key
-                        vc.out_vc = got
+                            lo = vc_lo[cls][port]
+                            span = vc_span[cls][port]
+                            rr = vc_rr[port]
+                            vc_rr[port] = (rr + 1) % n_vcs
+                            k = port * n_vcs + lo
+                            for off in range(span):
+                                j = (rr + off) % span
+                                if not busy[k + j] and credits[k + j] > 0:
+                                    busy[k + j] = True
+                                    out_vc = k + j
+                                    break
+                            else:
+                                continue  # every VC busy or out of credits
+                        route[s] = port
+                        route_vc[s] = out_vc
+                    elif credits[route_vc[s]] <= 0:
+                        # No downstream space (an ejection sink never
+                        # spends credits, so its counters stay full).
+                        continue
+                    cands = requests.get(port)
+                    if cands is None:
+                        requests[port] = [i]
                     else:
-                        out_port = out_ports[out_key]
-                    if out_port.can_send(vc.out_vc):
-                        cands = requests.get(out_key)
-                        if cands is None:
-                            requests[out_key] = [entry]
-                        else:
-                            cands.append(entry)
+                        cands.append(i)
                 if prof is not None:
                     _t2 = _pns()
                     _ph_vc += _t2 - _t
                     _t = _t2
 
                 # Switch allocation: one flit per output, one per input.
-                input_used: set[int] = set()
-                for out_key, cands in requests.items():
-                    cands = [c for c in cands if c[0] not in input_used]
-                    if not cands:
-                        continue
-                    pick = router.sa_rr(out_key) % len(cands)
-                    in_key, vc_idx, vc, vc_flits = cands[pick]
-                    router.bump_sa_rr(out_key, pick, len(cands))
-                    input_used.add(in_key)
-                    out_port = out_ports[out_key]
-                    out_vc = vc.out_vc
-                    flit = vc.pop()
-                    if not vc_flits:
-                        occ_mask[node] &= ~(
-                            1 << (port_base[node][in_key] + vc_idx)
-                        )
-                    is_tail = flit.is_tail
-                    router_counts[node] += 1
-                    out_port.consume_credit(out_vc)
+                input_used = 0
+                for port, cands in requests.items():
+                    if input_used:
+                        cands = [i for i in cands if not input_used & port_bit[i]]
+                        if not cands:
+                            continue
+                    n_cands = len(cands)
+                    pick = sa_rr[port] % n_cands
+                    sa_rr[port] = (pick + 1) % n_cands
+                    i = cands[pick]
+                    input_used |= port_bit[i]
+                    s = base + i
+                    fifo = fifos[s]
+                    flit = fifo.popleft()
+                    if not fifo:
+                        occ_mask[node] &= ~(1 << i)
+                    out_vc = route_vc[s]
+                    pkt = flit.packet
+                    is_tail = flit.index == pkt.size_flits - 1
                     if is_tail:
-                        out_port.release_vc(out_vc)
-                    if in_key != LOCAL_PORT:
+                        route[s] = -1  # the tail releases the route
+                    router_counts[node] += 1
+                    up = slot_up[s]
+                    if up >= 0:
                         # Instant credit return to the upstream router.
-                        upstream = routers[link_src[in_key]]
-                        upstream.out_ports[in_key].return_credit(vc_idx)
-                    if out_key == LOCAL_PORT:
+                        if credits[up] >= vc_depth:
+                            raise RuntimeError("credit overflow: flow-control bug")
+                        credits[up] += 1
+                    if port >= n_links:  # ejection
                         if is_tail:
-                            pkt = flit.packet
                             pkt.eject_time = t + 1
                             lat = t + 1 - pkt.inject_time
                             lat_buf[pkt.packet_id] = lat
@@ -630,18 +709,29 @@ class Simulator:
                                 ):
                                     register_packet(new_pkt)
                     else:
-                        link_counts[out_key] += 1
-                        if link_is_express[out_key]:
+                        if credits[out_vc] <= 0:
+                            raise RuntimeError("sent without credit: flow-control bug")
+                        credits[out_vc] -= 1
+                        if is_tail:
+                            busy[out_vc] = False  # free for the next packet
+                        link_counts[port] += 1
+                        if link_express[port]:
                             # Dateline: express crossings promote the packet
                             # to VC class 1 within the crossed dimension.
-                            if is_row_link[out_key]:
-                                flit.packet.vc_class = 1
+                            if link_row[port]:
+                                pkt.vc_class = 1
                             else:
-                                flit.packet.vc_class_y = 1
+                                pkt.vc_class_y = 1
                         seq += 1
                         heappush(
                             flight,
-                            (t + link_tech_cycles[out_key], seq, flit, out_key, out_vc),
+                            (
+                                t + link_cycles[port],
+                                seq,
+                                flit,
+                                port,
+                                out_vc - port * n_vcs,
+                            ),
                         )
                 if prof is not None:
                     _t2 = _pns()

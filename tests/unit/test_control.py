@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from repro.control import (
     ClosedLoopConfig,
     ClosedLoopSession,
     ClosedLoopStats,
-    ControlAction,
     ControlSession,
     ControlTrace,
+    Controller,
     Directive,
     ThrottleController,
     VcBiasController,
@@ -24,7 +25,6 @@ from repro.control import (
 )
 from repro.simulation import Simulator
 from repro.simulation.flit import Packet
-from repro.simulation.router import InputPort
 from repro.telemetry.detectors import SaturationDetector
 from repro.topology import build_mesh
 from repro.traffic import PacketRecord, Trace
@@ -303,13 +303,64 @@ class TestSaturationDetectorReset:
         assert det.onset_cycle == 128  # fires again after re-arm
 
 
+class _LimitNode0(Controller):
+    """Confines node 0 to one injection VC when the first window closes."""
+
+    name = "limit-node-0"
+
+    def observe(self, snap):
+        return (Directive("vc_limit", 1, (0,)),) if snap.index == 0 else ()
+
+
+class _HeadLog(deque):
+    """An injection VC that logs (cycle, vc) of each head flit pushed."""
+
+    def __init__(self, log, vc, pipeline):
+        super().__init__()
+        self.log, self.vc, self.pipeline = log, vc, pipeline
+
+    def append(self, flit):
+        if flit.index == 0:
+            self.log.append((flit.ready_time - self.pipeline, self.vc))
+        super().append(flit)
+
+
 class TestInjectionVcLimit:
-    def test_free_vc_limit(self):
-        port = InputPort(n_vcs=4, vc_depth=2)
-        assert port.free_vc(3) == 3  # round-robin from start
-        assert port.free_vc(3, limit=2) == 1  # wraps within 0..1
-        port.vcs[0].out_port = 1  # occupy VC 0 (not idle)
-        assert port.free_vc(0, limit=1) is None
+    WINDOW = 32
+
+    def _heads(self, monkeypatch, controller):
+        """(cycle, vc) of every head flit node 0 injects, in a run where
+        node 0 offers back-to-back 4-flit packets."""
+        sim = Simulator(MESH4)
+        log: list[tuple[int, int]] = []
+        fresh = sim._fresh_state
+
+        def logged():
+            state = fresh()
+            for vc in range(sim.config.n_vcs):  # node 0's LOCAL port slots
+                state.fifos[vc] = _HeadLog(log, vc, sim.config.router_pipeline)
+            return state
+
+        monkeypatch.setattr(sim, "_fresh_state", logged)
+        trace = _demand([(t, 0, 1 + t % 15, 4) for t in range(0, 160, 4)])
+        control = ControlSession(
+            [controller], window=self.WINDOW, n_nodes=16, n_vcs=sim.config.n_vcs
+        )
+        stats = sim.run(trace, control=control)
+        assert stats.drained
+        return log, stats.control
+
+    def test_free_vc_limit(self, monkeypatch):
+        free, idle = self._heads(monkeypatch, ThrottleController())
+        limited, trace = self._heads(monkeypatch, _LimitNode0())
+        assert idle.actions == ()  # the throttle never fires here
+        assert [a.cycle for a in trace.actions] == [self.WINDOW]
+        assert trace.restricted_nodes == (0,)
+        # Unlimited, new packets round-robin over idle VCs past VC 0.
+        assert {vc for t, vc in free if t >= self.WINDOW} > {0}
+        # The limit binds new packets from its boundary on, not before.
+        assert {vc for t, vc in limited if t < self.WINDOW} > {0}
+        assert {vc for t, vc in limited if t >= self.WINDOW} == {0}
 
 
 class TestKnee:

@@ -25,6 +25,8 @@ GOLDEN_SHA256 = {
             "593431027d78e8c49da48e9ce49322262c01377993d7d00fd99fd81b056e2d75",
         "golden_fig5a_analytical.json":
             "9c9bc5500bf36c282bde71603ac0e0ad25553001fa45f20c5278b9eccf74ef28",
+        "golden_hooked_simstats.json":
+            "edac450b7e9dc7fdf5042858e645665c28fd270ed75679a7ffe0fc47d88e872a",
     },
 }
 

@@ -1,16 +1,16 @@
 """Tests for the cycle-accurate NoC simulator."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
 from repro.simulation import (
     Flit,
-    LOCAL_PORT,
-    OutputPort,
     Packet,
     SimConfig,
     Simulator,
-    VirtualChannel,
     sim_dynamic_energy_j,
 )
 from repro.tech import Technology
@@ -32,6 +32,47 @@ def single(src, dst, size=1, time=0, n=256):
     return Trace(n, [PacketRecord(time, src, dst, size)])
 
 
+class _PhantomCredit(int):
+    """A corrupt credit count: VC allocation sees a free slot, the send
+    sees none."""
+
+    def __gt__(self, other):
+        return True
+
+    def __le__(self, other):
+        return True
+
+
+def _run_states(monkeypatch, sim, corrupt=None):
+    """Record (after ``corrupt``) the state each ``sim.run`` starts from;
+    the run mutates it in place, so it ends as the run's final state."""
+    states = []
+    fresh = sim._fresh_state
+
+    def hooked():
+        state = fresh()
+        if corrupt is not None:
+            corrupt(state)
+        states.append(state)
+        return state
+
+    monkeypatch.setattr(sim, "_fresh_state", hooked)
+    return states
+
+
+@pytest.fixture
+def drained_wormhole_run(e3, monkeypatch):
+    """(stats, final run state) of a drained multi-flit express run."""
+    sim = Simulator(e3)
+    states = _run_states(monkeypatch, sim)
+    rng = np.random.default_rng(3)
+    records = []
+    for _ in range(300):
+        s, d = rng.choice(256, size=2, replace=False)
+        records.append(PacketRecord(int(rng.integers(0, 100)), int(s), int(d), 4))
+    return sim.run(Trace(256, records)), states[0]
+
+
 class TestPrimitives:
     def test_packet_latency_requires_ejection(self):
         p = Packet(0, 0, 1, 1, 0)
@@ -50,51 +91,75 @@ class TestPrimitives:
         with pytest.raises(ValueError):
             Flit(p, 2)
 
-    def test_vc_overflow_is_fatal(self):
-        vc = VirtualChannel(capacity=1)
-        p = Packet(0, 0, 1, 2, 0)
-        vc.push(Flit(p, 0))
-        with pytest.raises(OverflowError):
-            vc.push(Flit(p, 1))
+    # The router's flow-control rules live inside Simulator.run; these
+    # check them through a run, reading or corrupting the state that
+    # run builds with Simulator._fresh_state.
 
-    def test_vc_tail_releases_allocation(self):
-        vc = VirtualChannel(capacity=4)
-        p = Packet(0, 0, 1, 2, 0)
-        vc.out_port = 3
-        vc.out_vc = 1
-        vc.push(Flit(p, 0))
-        vc.push(Flit(p, 1))
-        vc.pop()
-        assert vc.out_port == 3  # body flit keeps the route
-        vc.pop()
-        assert vc.out_port is None  # tail releases it
+    def test_vc_overflow_is_fatal(self, mesh, monkeypatch):
+        # The first flit over link 0->1 lands in a VC that is already full.
+        sim = Simulator(mesh)
+        link = int(sim.routing.route_lut[0, 1])
+        depth = sim.config.vc_depth
 
-    def test_output_port_credits(self):
-        op = OutputPort(n_vcs=2, vc_depth=2)
-        v = op.allocate_vc()
-        assert v == 0
-        op.consume_credit(0)
-        op.consume_credit(0)
-        assert not op.can_send(0)
-        op.return_credit(0)
-        assert op.can_send(0)
+        def fill(state):
+            stale = Packet(0, 0, 1, depth, 0)
+            state.fifos[sim.layout.link_slot[link]].extend(
+                Flit(stale, i) for i in range(depth)
+            )
 
-    def test_credit_overflow_detected(self):
-        op = OutputPort(n_vcs=1, vc_depth=1)
-        with pytest.raises(RuntimeError):
-            op.return_credit(0)
+        _run_states(monkeypatch, sim, fill)
+        with pytest.raises(OverflowError, match="VC buffer overflow"):
+            sim.run(single(0, 1))
 
-    def test_send_without_credit_detected(self):
-        op = OutputPort(n_vcs=1, vc_depth=1)
-        op.consume_credit(0)
-        with pytest.raises(RuntimeError):
-            op.consume_credit(0)
+    def test_vc_tail_releases_allocation(self, drained_wormhole_run):
+        # Body flits keep the head's route (a lost one raises "body flit
+        # without VC allocation"); every tail released it.
+        stats, state = drained_wormhole_run
+        assert stats.drained and stats.n_flits > stats.n_packets
+        assert state.route == [-1] * len(state.route)
+        assert not any(state.fifos)
 
-    def test_sink_port_never_blocks(self):
-        op = OutputPort(n_vcs=1, vc_depth=1, is_sink=True)
-        for _ in range(100):
-            op.consume_credit(0)
-        assert op.can_send(0)
+    def test_output_port_credits(self, drained_wormhole_run):
+        # Every credit a send consumed came back when the flit moved on,
+        # and every tail freed the downstream VC it held.
+        stats, state = drained_wormhole_run
+        assert stats.link_flit_counts.sum() > 0
+        assert state.credits == [SimConfig().vc_depth] * len(state.credits)
+        assert not any(state.busy)
+
+    def test_credit_overflow_detected(self, mesh, monkeypatch):
+        # Upstream counters start one above the buffer depth, so the first
+        # credit returned by a pop at router 1 overflows.
+        sim = Simulator(mesh)
+
+        def inflate(state):
+            state.credits[:] = [sim.config.vc_depth + 1] * len(state.credits)
+
+        _run_states(monkeypatch, sim, inflate)
+        with pytest.raises(RuntimeError, match="credit overflow"):
+            sim.run(single(0, 2))
+
+    def test_send_without_credit_detected(self, mesh, monkeypatch):
+        sim = Simulator(mesh)
+
+        def corrupt(state):
+            state.credits[:] = [_PhantomCredit()] * len(state.credits)
+
+        _run_states(monkeypatch, sim, corrupt)
+        with pytest.raises(RuntimeError, match="sent without credit"):
+            sim.run(single(0, 1))
+
+    def test_sink_port_never_blocks(self, mesh, monkeypatch):
+        # A 32-flit packet (4x a VC's depth) ejects at one flit per cycle,
+        # and the ejection sink's credit counters never move.
+        sim = Simulator(mesh)
+        states = _run_states(monkeypatch, sim)
+        one = sim.run(single(0, 1)).packet_latencies[0]
+        big = sim.run(single(0, 1, size=32)).packet_latencies[0]
+        assert big == one + 31
+        n_vcs, depth = sim.config.n_vcs, sim.config.vc_depth
+        sink_vcs = states[-1].credits[mesh.n_links * n_vcs :]
+        assert sink_vcs == [depth] * (mesh.n_nodes * n_vcs)
 
 
 class TestZeroLoadLatency:
@@ -179,6 +244,53 @@ class TestDelivery:
         st = Simulator(mesh).run(Trace(256, []))
         assert st.drained
         assert st.n_packets == 0
+
+
+class TestDisabledHooks:
+    """A default run executes no hook code at all: telemetry, control,
+    closed-loop and profiling reduce to sentinel checks in the loop."""
+
+    HOOKED = ("repro/telemetry/", "repro/control/", "repro/obs/")
+
+    def _hook_calls(self, **hooks) -> list[str]:
+        mesh4 = build_mesh(4, 4)
+        rng = np.random.default_rng(1)
+        records = []
+        for t in range(60):
+            s, d = rng.choice(16, size=2, replace=False)
+            records.append(PacketRecord(t, int(s), int(d), 2))
+        calls: list[str] = []
+
+        def watch(frame, event, arg):
+            if event == "call":
+                path = frame.f_code.co_filename.replace("\\", "/")
+                if any(h in path for h in self.HOOKED):
+                    calls.append(f"{path}:{frame.f_code.co_name}")
+            elif event == "c_call" and arg is time.perf_counter_ns:
+                calls.append("time.perf_counter_ns")
+
+        sim = Simulator(mesh4)
+        sys.setprofile(watch)
+        try:
+            stats = sim.run(Trace(16, records), **hooks)
+        finally:
+            sys.setprofile(None)
+        assert stats.drained and stats.n_packets == 60
+        return calls
+
+    def test_default_run_calls_no_hook_code(self):
+        assert self._hook_calls() == []
+
+    def test_watch_sees_enabled_hooks(self):
+        from repro.obs import PhaseProfile
+        from repro.telemetry import TelemetryConfig
+
+        calls = self._hook_calls(
+            telemetry=TelemetryConfig(window=8), profile=PhaseProfile()
+        )
+        assert "time.perf_counter_ns" in calls
+        assert any("repro/telemetry/" in c for c in calls)
+        assert any("repro/obs/" in c for c in calls)
 
 
 class TestSimConfig:

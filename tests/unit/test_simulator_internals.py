@@ -1,9 +1,6 @@
 """White-box tests of simulator internals (dateline classes, VC ranges)."""
 
-import pytest
-
-from repro.simulation import SimConfig, Simulator
-from repro.simulation.router import LOCAL_PORT
+from repro.simulation import LOCAL_PORT, SimConfig, Simulator
 from repro.tech import Technology
 from repro.topology import build_express_mesh, build_mesh, build_torus
 from repro.traffic import PacketRecord, Trace
