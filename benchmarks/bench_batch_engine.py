@@ -8,11 +8,16 @@ shared state across a whole rate sweep. ``interpreter_sweep_16pt`` and
 family through both engines; the CI bench-smoke gate asserts the batched
 sweep sustains >= 3x the interpreter's points/sec (the engines are
 bit-identical, so the comparison is purely about speed).
+
+The ``sweep_e2e_16pt_*`` records time what a user waits for: one
+``Runner.run`` of a 16-rate 8x8 saturation family on a fresh cache,
+trace generation included, per engine and at ``jobs`` 1 and 2.
 """
 
 import numpy as np
 
 from repro.bench import benchmark_spec
+from repro.experiments import EvaluationCache, Runner, scenario_family
 from repro.simulation import BatchSimulator, Simulator
 from repro.topology import RoutingTable, build_mesh
 from repro.traffic import PacketRecord, Trace
@@ -74,6 +79,60 @@ def run_batch_engine_sweep(fixture):
     return bsim.run_batch(traces, max_cycles=2_000_000)
 
 
+def _e2e_family(engine: str):
+    """The family as scenario specs only: traces are built in the timed run."""
+    return scenario_family(
+        "saturation-sweep",
+        rates=SWEEP_RATES,
+        width=8,
+        height=8,
+        cycles=SWEEP_WINDOW,
+        engine=engine,
+    )
+
+
+def _e2e_run(scenarios, jobs: int):
+    """One ``Runner.run`` on a fresh cache; the metrics in input order."""
+    return [r.metrics for r in Runner(jobs=jobs, cache=EvaluationCache()).run(scenarios)]
+
+
+_E2E = dict(points=len(SWEEP_RATES), tags=("perf", "simulation"))
+
+
+@benchmark_spec(
+    "sweep_e2e_16pt_interpreter", setup=lambda: _e2e_family("interpreter"), **_E2E
+)
+def run_sweep_e2e_interpreter(scenarios):
+    """16-point 8x8 family end to end on the interpreter, jobs=1."""
+    return _e2e_run(scenarios, jobs=1)
+
+
+@benchmark_spec(
+    "sweep_e2e_16pt_batched", setup=lambda: _e2e_family("batched"), **_E2E
+)
+def run_sweep_e2e_batched(scenarios):
+    """16-point 8x8 family end to end on the batched engine, jobs=1."""
+    return _e2e_run(scenarios, jobs=1)
+
+
+@benchmark_spec(
+    "sweep_e2e_16pt_interpreter_jobs2",
+    setup=lambda: _e2e_family("interpreter"),
+    **_E2E,
+)
+def run_sweep_e2e_interpreter_jobs2(scenarios):
+    """16-point 8x8 family end to end on the interpreter, two workers."""
+    return _e2e_run(scenarios, jobs=2)
+
+
+@benchmark_spec(
+    "sweep_e2e_16pt_batched_jobs2", setup=lambda: _e2e_family("batched"), **_E2E
+)
+def run_sweep_e2e_batched_jobs2(scenarios):
+    """16-point 8x8 family end to end as two batched chunks on two workers."""
+    return _e2e_run(scenarios, jobs=2)
+
+
 def _single_fixture():
     mesh = build_mesh(8, 8)
     return BatchSimulator(mesh, RoutingTable(mesh)), _rate_trace(77, 0.24)
@@ -107,3 +166,16 @@ def test_perf_sweep_amortization(run_bench):
         assert a.cycles == b.cycles
         assert np.array_equal(a.packet_latencies, b.packet_latencies)
         assert np.array_equal(a.link_flit_counts, b.link_flit_counts)
+
+
+def test_perf_sweep_e2e_records_agree(run_bench):
+    """Every engine and pool size returns the identical sweep metrics."""
+    ref = run_bench("sweep_e2e_16pt_interpreter")
+    assert len(ref) == len(SWEEP_RATES)
+    assert all(m["drained"] for m in ref)
+    for name in (
+        "sweep_e2e_16pt_batched",
+        "sweep_e2e_16pt_interpreter_jobs2",
+        "sweep_e2e_16pt_batched_jobs2",
+    ):
+        assert run_bench(name) == ref, name

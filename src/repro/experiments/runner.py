@@ -1,10 +1,10 @@
-"""Scenario evaluation and the serial / process-pool runner.
+"""Scenario evaluation and the runner that plans, executes and reports sweeps.
 
 :func:`evaluate_scenario` is a *pure* function: every stochastic input
 (traffic seed, injection schedule) is named inside the scenario itself,
 so evaluating the same scenario in this process, a worker process, or
 next week yields identical metrics. That purity is what lets the
-:class:`Runner` swap its serial loop for a ``ProcessPoolExecutor``
+:class:`Runner` run its work units inline or on a ``ProcessPoolExecutor``
 (``jobs=N``) with bit-identical results, and what makes the
 :class:`~repro.experiments.cache.EvaluationCache` sound.
 """
@@ -15,7 +15,7 @@ import os
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, TypeVar
@@ -32,7 +32,6 @@ from repro.obs.trace import (
     merge_exported,
     span,
     take_spans,
-    tracing_enabled,
 )
 from repro.topology.graph import Topology
 from repro.topology.routing import RoutingTable
@@ -52,19 +51,6 @@ _POINTS_EVALUATED = counter("runner.points.evaluated")
 _POINTS_CACHED = counter("runner.points.cached")
 
 _log = get_logger("experiments.runner")
-
-
-def _engine_label(scenario: Scenario) -> str:
-    """The engine that will actually evaluate this scenario."""
-    if scenario.kind == "simulation":
-        return "batched" if _batched_eligible(scenario) else "interpreter"
-    return scenario.kind
-
-
-def _count_point(scenario: Scenario) -> None:
-    """Count one fresh evaluation, keyed by the engine that actually ran it."""
-    _POINTS_EVALUATED.inc()
-    counter(f"runner.points.engine.{_engine_label(scenario)}").inc()
 
 
 @lru_cache(maxsize=8)
@@ -96,24 +82,6 @@ def _materialize_batched(spec: TopologySpec, cfg):
     return BatchSimulator(topo, routing, cfg)
 
 
-def _batched_eligible(scenario: Scenario) -> bool:
-    """True when the scenario can run on the batched engine.
-
-    Telemetry sampling, closed-loop sessions and online controllers are
-    interpreter-only (sequential per-packet hooks); such scenarios fall
-    back to the interpreter regardless of ``SimSpec.engine``.
-    """
-    sim = scenario.sim
-    return (
-        scenario.kind == "simulation"
-        and sim is not None
-        and sim.engine == "batched"
-        and sim.telemetry_window == 0
-        and sim.closed_loop_window == 0
-        and not sim.controllers
-    )
-
-
 def evaluate_scenario(
     scenario: Scenario, *, profile: PhaseProfile | None = None
 ) -> dict[str, Any]:
@@ -128,44 +96,6 @@ def evaluate_scenario(
     if scenario.kind == "simulation":
         return _evaluate_simulation(scenario, profile=profile)
     return _evaluate_all_optical(scenario)
-
-
-def _traced_evaluate(
-    scenario: Scenario, want_profile: bool = False
-) -> tuple[dict[str, Any], list[dict], dict[str, Any]]:
-    """Pool-worker seam: evaluate one scenario and ship its spans home.
-
-    Workers inherit the parent's tracing flag (and, under fork, a copy
-    of its span buffer — dropped here so only this point's spans ship).
-    Returns ``(metrics, span_payloads, info)``; the submitting process
-    merges the payloads into its trace via
-    :func:`repro.obs.trace.merge_exported`, re-parented under the span
-    that submitted the point. ``info`` carries the worker's identity for
-    the run ledger (pid, start wall time) and — when ``want_profile`` —
-    the point's serialized :class:`PhaseProfile`. With tracing and
-    profiling disabled the wrapper is a tuple allocation around
-    :func:`evaluate_scenario`.
-    """
-    info: dict[str, Any] = {
-        "pid": os.getpid(),
-        "worker_t": round(time.time(), 6),
-    }
-    prof = (
-        PhaseProfile()
-        if want_profile and scenario.kind == "simulation"
-        else None
-    )
-    payloads: list[dict] = []
-    if not tracing_enabled():
-        metrics = evaluate_scenario(scenario, profile=prof)
-    else:
-        clear_spans()
-        with span("runner.point", point=scenario.label, pool_worker=True):
-            metrics = evaluate_scenario(scenario, profile=prof)
-        payloads = [rec.to_json() for rec in take_spans()]
-    if prof is not None:
-        info["profile"] = prof.to_json()
-    return metrics, payloads, info
 
 
 def _evaluate_analytical(scenario: Scenario) -> dict[str, Any]:
@@ -202,7 +132,7 @@ def simulate_scenario(scenario: Scenario, *, profile: PhaseProfile | None = None
     sim_spec = scenario.sim
     topo, routing = _materialize(scenario.topology)
     trace = scenario.traffic.trace(topo, sim=sim_spec)
-    if _batched_eligible(scenario):
+    if sim_spec.run_engine == "batched":
         if profile is not None:
             profile.engine = "batched"
         bsim = _materialize_batched(scenario.topology, sim_spec.sim_config())
@@ -371,6 +301,73 @@ class ScenarioResult:
     (``Runner(profile=True)`` and a freshly simulated point)."""
 
 
+def _run_unit(
+    scenarios: list[Scenario], batched: bool, want_profile: bool
+) -> tuple[list[dict[str, Any]], list[PhaseProfile | None]]:
+    """Evaluate one work unit; its metrics and profiles, in point order.
+
+    A batched chunk (points sharing a topology and simulator config) is
+    one lockstep :meth:`~repro.simulation.BatchSimulator.run_batch`, so
+    the family state is built once and the per-cycle work of its points
+    is amortized. Anything else is one point through
+    :func:`evaluate_scenario`. Module-level, so the same call runs
+    inline and on the pool.
+    """
+    if batched:
+        spec, sim = scenarios[0].topology, scenarios[0].sim
+        topo, _ = _materialize(spec)
+        traces = [s.traffic.trace(topo, sim=s.sim) for s in scenarios]
+        caps = [s.sim.cycle_budget(s.traffic.trace_based) for s in scenarios]
+        bsim = _materialize_batched(spec, sim.sim_config())
+        with span("runner.batch_group", points=len(scenarios)):
+            stats = bsim.run_batch(traces, max_cycles=caps)
+            metrics = [_sim_metrics(s, topo, st) for s, st in zip(scenarios, stats)]
+        return metrics, [None] * len(scenarios)
+    [scenario] = scenarios
+    prof = PhaseProfile() if want_profile and scenario.kind == "simulation" else None
+    with span("runner.point", point=scenario.label):
+        metrics = evaluate_scenario(scenario, profile=prof)
+    return [metrics], [prof]
+
+
+def _pool_unit(
+    scenarios: list[Scenario], batched: bool, want_profile: bool
+) -> tuple[tuple, dict[str, Any], list[dict]]:
+    """Pool-worker seam: run one unit and ship its spans home.
+
+    Workers inherit the parent's tracing flag (and, under fork, a copy
+    of its span buffer, dropped here so only this unit's spans ship).
+    Returns the unit's result, the worker's identity for the run ledger
+    (pid, start wall time) and the span payloads, whose roots are marked
+    ``pool_worker``; the submitting process merges them into its trace
+    via :func:`repro.obs.trace.merge_exported`.
+    """
+    worker = {"worker": os.getpid(), "worker_t": round(time.time(), 6)}
+    clear_spans()
+    out = _run_unit(scenarios, batched, want_profile)
+    recs = take_spans()
+    ids = {rec.span_id for rec in recs}
+    for rec in recs:
+        if rec.parent_id not in ids:
+            rec.attrs["pool_worker"] = True
+    return out, worker, [rec.to_json() for rec in recs]
+
+
+@dataclass
+class _Unit:
+    """One piece of planned work: a batched-family chunk or a single point."""
+
+    points: list[int]
+    """Batch indices of the points it evaluates."""
+    scenarios: list[Scenario]
+    engine: str
+    batched: bool
+    future: Future | None = None
+    """The pending pool result, when the unit was submitted to the pool."""
+    results: dict[int, ScenarioResult] | None = None
+    """Filled when the unit finishes, keyed by batch index."""
+
+
 class SweepHandle:
     """An in-flight batch submitted via :meth:`Runner.submit`.
 
@@ -487,12 +484,17 @@ class Runner:
         self.profile = profile
 
     def _emit(self, event: str, **fields: Any) -> None:
-        """Report one lifecycle event to the observer (if any).
+        """Report one lifecycle event to the point counters and the observer.
 
         Observer failures must never take the sweep down with them —
         they are logged and swallowed (the ledger is an enrichment, the
         results are the product).
         """
+        if event == "point.completed":
+            _POINTS_EVALUATED.inc()
+            counter(f"runner.points.engine.{fields['engine']}").inc()
+        elif event == "point.cached":
+            _POINTS_CACHED.inc()
         if self.observer is None:
             return
         try:
@@ -520,202 +522,122 @@ class Runner:
     def run_iter(self, scenarios: Iterable[Scenario]) -> Iterator[ScenarioResult]:
         """Stream results in input order as they become available.
 
-        Serial mode evaluates lazily (one point per ``next()``); parallel
-        mode submits every unique uncached scenario up front and yields
-        each result as soon as its turn comes.
+        The batch is planned into cache hits and work units
+        (:meth:`_plan`). With ``jobs=1``, or a single unit, a unit runs
+        inline when the stream first reaches one of its points, so the
+        stream stays lazy; otherwise every unit is submitted to a
+        process pool up front. Each point reports ``point.dispatched``,
+        ``point.simulating`` and ``point.completed`` (or
+        ``point.failed``), or one ``point.cached``.
         """
         batch = list(scenarios)
-
-        if self.jobs > 1:
-            hashes = [scenario_hash(s) for s in batch]
-            pending: dict[str, Scenario] = {}
-            first_index: dict[str, int] = {}
-            for i, (s, h) in enumerate(zip(batch, hashes)):
-                if h not in pending and s not in self.cache:
-                    pending[h] = s
-                    first_index[h] = i
-            if len(pending) > 1:
-                pool = ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(pending))
+        hits, units = self._plan(batch)
+        owner = {i: unit for unit in units for i in unit.points}
+        pool = None
+        if self.jobs > 1 and len(units) > 1:
+            pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
+            for unit in units:
+                unit.future = pool.submit(
+                    _pool_unit, unit.scenarios, unit.batched, self.profile
                 )
-                try:
-                    futures = {}
-                    for h, s in pending.items():
-                        futures[h] = pool.submit(
-                            _traced_evaluate, s, self.profile
-                        )
-                        self._emit(
-                            "point.dispatched",
-                            point=first_index[h],
-                            engine=_engine_label(s),
-                        )
-                    for i, (s, h) in enumerate(zip(batch, hashes)):
-                        metrics = self.cache.get(s)
-                        if metrics is None:
-                            engine = _engine_label(s)
-                            try:
-                                metrics, worker_spans, info = futures[h].result()
-                            except Exception as exc:
-                                self._emit(
-                                    "point.failed",
-                                    point=i,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                )
-                                raise
-                            self._emit(
-                                "point.simulating",
-                                point=i,
-                                worker=info.get("pid"),
-                                worker_t=info.get("worker_t"),
-                                engine=engine,
-                            )
-                            if worker_spans:
-                                merge_exported(
-                                    worker_spans, parent_id=current_span_id()
-                                )
-                            self.cache.put(s, metrics)
-                            _count_point(s)
-                            self._emit(
-                                "point.completed",
-                                point=i,
-                                worker=info.get("pid"),
-                                engine=engine,
-                                cached=False,
-                            )
-                            prof = (
-                                PhaseProfile.from_json(info["profile"])
-                                if info.get("profile")
-                                else None
-                            )
-                            yield ScenarioResult(
-                                s, metrics, cached=False, profile=prof
-                            )
-                        else:
-                            _POINTS_CACHED.inc()
-                            self._emit("point.cached", point=i)
-                            yield ScenarioResult(s, metrics, cached=True)
-                finally:
-                    # An abandoned stream must not join the whole batch:
-                    # drop queued work and let running points finish alone.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                return
-
-        fresh = self._run_batched_groups(batch)
-        for i, s in enumerate(batch):
-            metrics = self.cache.get(s)
-            if metrics is None:
-                engine = _engine_label(s)
-                self._emit("point.dispatched", point=i, engine=engine)
-                self._emit(
-                    "point.simulating",
-                    point=i,
-                    worker=os.getpid(),
-                    worker_t=round(time.time(), 6),
-                    engine=engine,
-                )
-                prof = (
-                    PhaseProfile()
-                    if self.profile and s.kind == "simulation"
-                    else None
-                )
-                try:
-                    with span("runner.point", point=s.label):
-                        metrics = evaluate_scenario(s, profile=prof)
-                except Exception as exc:
-                    self._emit(
-                        "point.failed",
-                        point=i,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    raise
-                self.cache.put(s, metrics)
-                _count_point(s)
-                self._emit(
-                    "point.completed",
-                    point=i,
-                    worker=os.getpid(),
-                    engine=engine,
-                    cached=False,
-                )
-                yield ScenarioResult(s, metrics, cached=False, profile=prof)
-            else:
-                h = scenario_hash(s)
-                if h in fresh:
-                    # Evaluated moments ago by the batched group pass,
-                    # which emitted this point's lifecycle events.
-                    fresh.discard(h)
-                    yield ScenarioResult(s, metrics, cached=False)
-                else:
-                    _POINTS_CACHED.inc()
+                self._emit_unit(unit, "point.dispatched", engine=unit.engine)
+        try:
+            for i, s in enumerate(batch):
+                unit = owner.get(i)
+                if unit is None:
+                    # A cache hit, or a repeat of an earlier point.
+                    metrics = hits.pop(i) if i in hits else self.cache.get(s)
                     self._emit("point.cached", point=i)
                     yield ScenarioResult(s, metrics, cached=True)
+                    continue
+                if unit.results is None:
+                    self._execute(unit)
+                yield unit.results[i]
+        finally:
+            if pool is not None:
+                # An abandoned stream must not join the whole batch:
+                # drop queued work and let running units finish alone.
+                pool.shutdown(wait=False, cancel_futures=True)
 
-    def _run_batched_groups(self, batch: Sequence[Scenario]) -> set[str]:
-        """Evaluate batched-engine scenarios family-by-family up front.
+    def _plan(
+        self, batch: list[Scenario]
+    ) -> tuple[dict[int, dict[str, Any]], list[_Unit]]:
+        """Split a batch into cache hits (by index) and work units.
 
-        Uncached scenarios requesting the batched engine are grouped by
-        (topology spec, simulator config) and each group is evaluated in
-        one :meth:`~repro.simulation.BatchSimulator.run_batch` call, so
-        family state is built once and the per-cycle work of all points
-        is amortized. Returns the hashes evaluated here, so the stream
-        can report their first occurrence as ``cached=False``.
-
-        With ``profile=True`` the group pass is skipped entirely:
-        lockstep batching cannot attribute phase time to individual
-        points, so profiled sweeps evaluate each point through the
-        single-run path (which still uses the batched engine, one trace
-        at a time).
+        Each distinct point is looked up in the cache once, at its first
+        occurrence; a repeat is left for the stream to serve from the
+        cache. Misses that run on the batched engine are grouped by
+        (topology, simulator config), and each group is split into
+        ``min(jobs, len(group))`` strided chunks, so that every chunk
+        gets a share of the slow high-rate points. A profiled sweep does
+        not group: lockstep time cannot be split per point. Every other
+        miss is a unit of its own.
         """
-        if self.profile:
-            return set()
-        groups: dict[tuple, list[tuple[int, str, Scenario]]] = {}
+        hits: dict[int, dict[str, Any]] = {}
+        units: list[_Unit] = []
+        groups: dict[tuple, list[int]] = {}
         seen: set[str] = set()
         for i, s in enumerate(batch):
-            if not _batched_eligible(s) or s in self.cache:
-                continue
             h = scenario_hash(s)
             if h in seen:
                 continue
             seen.add(h)
-            groups.setdefault((s.topology, s.sim.sim_config()), []).append(
-                (i, h, s)
-            )
-        fresh: set[str] = set()
-        pid = os.getpid()
-        for (topo_spec, cfg), items in groups.items():
-            topo, _ = _materialize(topo_spec)
-            bsim = _materialize_batched(topo_spec, cfg)
-            traces = [s.traffic.trace(topo, sim=s.sim) for _, _, s in items]
-            caps = [
-                s.sim.cycle_budget(s.traffic.trace_based) for _, _, s in items
-            ]
-            for i, _, _s in items:
-                self._emit("point.dispatched", point=i, engine="batched")
-            # The group's points genuinely advance in lockstep, so they
-            # all enter the simulating stage together.
-            now = round(time.time(), 6)
-            for i, _, _s in items:
-                self._emit(
-                    "point.simulating",
-                    point=i,
-                    worker=pid,
-                    worker_t=now,
-                    engine="batched",
+            metrics = self.cache.get(s)
+            engine = s.sim.run_engine if s.kind == "simulation" else s.kind
+            if metrics is not None:
+                hits[i] = metrics
+            elif engine == "batched" and not self.profile:
+                groups.setdefault((s.topology, s.sim.sim_config()), []).append(i)
+            else:
+                units.append(_Unit([i], [s], engine, batched=False))
+        for members in groups.values():
+            n = min(self.jobs, len(members))
+            for k in range(n):
+                chunk = members[k::n]
+                units.append(
+                    _Unit(chunk, [batch[i] for i in chunk], "batched", batched=True)
                 )
-            with span("runner.batch_group", points=len(items)):
-                stats_list = bsim.run_batch(traces, max_cycles=caps)
-            for (i, h, s), stats in zip(items, stats_list):
-                self.cache.put(s, _sim_metrics(s, topo, stats))
-                _count_point(s)
-                fresh.add(h)
-                self._emit(
-                    "point.completed",
-                    point=i,
-                    worker=pid,
-                    engine="batched",
-                    cached=False,
-                )
-        return fresh
+        units.sort(key=lambda unit: unit.points[0])
+        return hits, units
+
+    def _execute(self, unit: _Unit) -> None:
+        """Run ``unit`` inline, or collect it from the pool, and report it.
+
+        The unit's results go into the cache before its points report
+        ``point.completed``. If it raises, each of its points reports
+        ``point.failed`` and the error propagates. A pool unit reports
+        ``point.simulating`` when its result names the worker that ran
+        it, so a pool unit that raises goes from dispatched to failed.
+        """
+        try:
+            if unit.future is None:
+                worker = {"worker": os.getpid(), "worker_t": round(time.time(), 6)}
+                self._emit_unit(unit, "point.dispatched", engine=unit.engine)
+                self._emit_unit(unit, "point.simulating", engine=unit.engine, **worker)
+                metrics, profiles = _run_unit(unit.scenarios, unit.batched, self.profile)
+            else:
+                (metrics, profiles), worker, spans = unit.future.result()
+                merge_exported(spans, parent_id=current_span_id())
+                self._emit_unit(unit, "point.simulating", engine=unit.engine, **worker)
+        except Exception as exc:
+            self._emit_unit(unit, "point.failed", error=f"{type(exc).__name__}: {exc}")
+            raise
+        unit.results = {}
+        for i, s, m, prof in zip(unit.points, unit.scenarios, metrics, profiles):
+            self.cache.put(s, m)
+            unit.results[i] = ScenarioResult(s, m, cached=False, profile=prof)
+        self._emit_unit(
+            unit,
+            "point.completed",
+            worker=worker["worker"],
+            engine=unit.engine,
+            cached=False,
+        )
+
+    def _emit_unit(self, unit: _Unit, event: str, **fields: Any) -> None:
+        """Report ``event`` once for each point of ``unit``."""
+        for i in unit.points:
+            self._emit(event, point=i, **fields)
 
     def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
         """Order-preserving map on this runner's executor.

@@ -346,10 +346,9 @@ class SimSpec:
     normalized to hashable ``(name, ((key, value), ...))`` pairs.
     Requires ``telemetry_window > 0``."""
     engine: str = "interpreter"
-    """Execution engine: ``"interpreter"`` (reference) or ``"batched"``
-    (the vectorized :class:`repro.simulation.BatchSimulator`; scenarios
-    using telemetry, closed-loop sessions or controllers fall back to
-    the interpreter — see :mod:`repro.simulation.batch`)."""
+    """Requested execution engine: ``"interpreter"`` (reference) or
+    ``"batched"`` (the vectorized :class:`repro.simulation.BatchSimulator`).
+    :attr:`run_engine` is the one that runs."""
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
@@ -403,6 +402,15 @@ class SimSpec:
             electronic_link_cycles=self.electronic_link_cycles,
             optical_link_cycles=self.optical_link_cycles,
         )
+
+    @property
+    def run_engine(self) -> str:
+        """The engine that runs this spec: the requested one, unless a
+        feature only the interpreter has is on. Telemetry sampling,
+        closed-loop sessions and controllers hook every packet in
+        sequence, which the lockstep batched engine cannot."""
+        hooked = self.telemetry_window or self.closed_loop_window or self.controllers
+        return "interpreter" if hooked else self.engine
 
     def cycle_budget(self, trace_based: bool) -> int:
         """Simulation cycle cap for this workload style."""

@@ -22,7 +22,7 @@ an aligned per-phase table with percent-of-total columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 __all__ = [
@@ -100,25 +100,16 @@ class PhaseProfile:
             "counts": {k: self.counts[k] for k in sorted(self.counts)},
         }
 
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "PhaseProfile":
-        """Rebuild a profile shipped across the process-pool seam."""
-        return cls(
-            engine=data["engine"],
-            phases={p: int(ns) for p, ns in data.get("phases", {}).items()},
-            counts={k: int(n) for k, n in data.get("counts", {}).items()},
-            total_ns=int(data.get("total_ns", 0)),
-        )
-
 
 def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
     """Run ``scenario`` under both engines with profiling enabled.
 
     Returns ``{"interpreter": PhaseProfile, "batched": PhaseProfile}``
     (the batched entry is omitted for scenarios the batched engine cannot
-    run — telemetry/closed-loop/controller specs are interpreter-only).
-    Imports lazily so :mod:`repro.obs` never drags the simulation stack
-    in at import time (and stays cycle-free).
+    run: ``SimSpec.run_engine`` keeps telemetry, closed-loop and
+    controller specs on the interpreter). Imports lazily so
+    :mod:`repro.obs` never drags the simulation stack in at import time
+    (and stays cycle-free).
     """
     from repro.experiments.runner import _materialize
     from repro.simulation.batch import BatchSimulator
@@ -137,11 +128,7 @@ def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
     Simulator(topo, routing, cfg).run(trace, max_cycles=max_cycles, profile=prof_i)
     out["interpreter"] = prof_i
 
-    if (
-        sim_spec.telemetry_window == 0
-        and sim_spec.closed_loop_window == 0
-        and not sim_spec.controllers
-    ):
+    if replace(sim_spec, engine="batched").run_engine == "batched":
         prof_b = PhaseProfile(engine="batched")
         BatchSimulator(topo, routing, cfg).run_batch(
             [trace], max_cycles=max_cycles, profile=prof_b

@@ -51,6 +51,11 @@ def profiled_request(n_rates=4):
     }
 
 
+def batched_request():
+    params = {"rates": [0.04, 0.08, 0.12, 0.16], "cycles": 300, "engine": "batched"}
+    return {"version": 1, "family": "saturation-sweep", "params": params}
+
+
 def boot(state_dir, *, jobs=1):
     """A live server over ``state_dir``; caller must ``shut`` it."""
     server = make_server("127.0.0.1", 0, state_dir, jobs=jobs)
@@ -164,22 +169,22 @@ class TestLedgerEndToEnd:
                 client.wait(quick["job_id"], timeout=120)
                 prof = client.submit(profiled_request())
                 client.wait(prof["job_id"], timeout=120)
+                # jobs=2 runs this family as two batched chunks on the pool.
+                batched = client.submit(batched_request())
+                client.wait(batched["job_id"], timeout=120)
                 exports.append(
-                    (
-                        json.dumps(
+                    tuple(
+                        json.dumps(doc, sort_keys=True)
+                        for doc in (
                             client.ledger(quick["job_id"], deterministic=True),
-                            sort_keys=True,
-                        ),
-                        json.dumps(
                             client.profile(prof["job_id"], deterministic=True),
-                            sort_keys=True,
-                        ),
+                            client.ledger(batched["job_id"], deterministic=True),
+                        )
                     )
                 )
             finally:
                 shut(server, thread)
-        assert exports[0][0] == exports[1][0]
-        assert exports[0][1] == exports[1][1]
+        assert exports[0] == exports[1]
         # And stable across runs of the same server config.
         server, thread, client = boot(tmp_path / "again", jobs=2)
         try:

@@ -9,11 +9,15 @@ plus the engine seam in the experiment runner.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments import Runner, Scenario, SimSpec, TopologySpec, TrafficSpec
+from repro.obs import clear_spans, enable_tracing, take_spans, tracing_enabled
+from repro.obs.metrics import counter
 from repro.simulation import BatchSimulator, SimConfig, Simulator
 from repro.tech.parameters import Technology
 from repro.topology import build_express_mesh, build_mesh, build_torus
@@ -126,7 +130,7 @@ class TestEngineEquivalence:
 
 
 class TestEngineSeam:
-    def _scenarios(self, engine: str):
+    def _scenarios(self, engine: str, rates=(0.05, 0.1, 0.15)):
         topo = TopologySpec.plain(Technology.ELECTRONIC, width=4, height=4)
         sim = SimSpec(cycles=200, drain_budget=5_000, engine=engine)
         return [
@@ -139,7 +143,7 @@ class TestEngineSeam:
                 sim=sim,
                 name=f"{engine}-{rate}",
             )
-            for rate in (0.05, 0.1, 0.15)
+            for rate in rates
         ]
 
     def test_runner_batched_matches_interpreter(self):
@@ -153,11 +157,65 @@ class TestEngineSeam:
         assert [r.cached for r in got] == [False, False, False]
 
     def test_batched_results_are_cached_on_reuse(self):
-        runner = Runner()
-        first = runner.run(self._scenarios("batched"))
-        second = runner.run(self._scenarios("batched"))
-        assert [r.cached for r in first] == [False, False, False]
-        assert [r.cached for r in second] == [True, True, True]
+        """Every engine and pool size counts cache hits and misses alike."""
+        evaluated = counter("runner.points.evaluated")
+        served = counter("runner.points.cached")
+        for jobs in (1, 2):
+            for engine in ("interpreter", "batched"):
+                scenarios = self._scenarios(engine, rates=(0.05, 0.1, 0.15, 0.2))
+                runner = Runner(jobs=jobs)
+                before = evaluated.value
+                first = runner.run(scenarios)
+                assert evaluated.value - before == 4, (jobs, engine)
+                stats = runner.cache.stats
+                assert (stats["hits"], stats["misses"]) == (0, 4), (jobs, engine)
+                before = served.value
+                second = runner.run(scenarios)
+                assert served.value - before == 4, (jobs, engine)
+                stats = runner.cache.stats
+                assert (stats["hits"], stats["misses"]) == (4, 4), (jobs, engine)
+                assert [r.cached for r in first] == [False] * 4
+                assert [r.cached for r in second] == [True] * 4
+                assert [r.metrics for r in first] == [r.metrics for r in second]
+
+    def test_failed_batched_unit_reports_every_point(self, monkeypatch):
+        def boom(self, traces, **kwargs):
+            raise RuntimeError("lockstep boom")
+
+        monkeypatch.setattr(BatchSimulator, "run_batch", boom)
+        events = []
+        with pytest.raises(RuntimeError, match="lockstep boom"):
+            Runner(observer=events.append).run(self._scenarios("batched"))
+        stages = {}
+        for ev in events:
+            stages.setdefault(ev["point"], []).append(ev["event"])
+        lifecycle = ["point.dispatched", "point.simulating", "point.failed"]
+        assert stages == {i: lifecycle for i in range(3)}
+        errors = {ev["error"] for ev in events if ev["event"] == "point.failed"}
+        assert errors == {"RuntimeError: lockstep boom"}
+
+    def test_pool_composes_with_batched_grouping(self):
+        """jobs=2 runs strided batched chunks on the pool, bit-identically."""
+        rates = (0.04, 0.08, 0.12, 0.16, 0.2, 0.24)
+        ref = Runner(jobs=1).run(self._scenarios("interpreter", rates))
+        was = tracing_enabled()
+        clear_spans()
+        enable_tracing(True)
+        try:
+            got = Runner(jobs=2).run(self._scenarios("batched", rates))
+            spans = take_spans()
+        finally:
+            enable_tracing(was)
+            clear_spans()
+        assert [r.metrics for r in got] == [r.metrics for r in ref]
+        assert not any(r.cached for r in got)
+        [sweep] = [s for s in spans if s.name == "runner.sweep"]
+        groups = [s for s in spans if s.name == "runner.batch_group"]
+        assert len(groups) == 2
+        assert all(g.pid != os.getpid() for g in groups)
+        assert all(g.attrs.get("pool_worker") for g in groups)
+        assert all(g.parent_id == sweep.span_id for g in groups)
+        assert sum(g.attrs["points"] for g in groups) == len(rates)
 
     def test_engine_validates(self):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -16,11 +16,12 @@ import io
 import json
 import logging
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.experiments import scenario_family
+from repro.experiments import Runner, scenario_family
 from repro.obs import (
     Counter,
     MetricsRegistry,
@@ -354,12 +355,26 @@ class TestProfile:
             == interp["loop_iterations"]
         )
 
-    def test_telemetry_scenarios_are_interpreter_only(self):
-        [scenario] = scenario_family(
-            "telemetry-profile", rates=[0.1], cycles=256, window=64
-        )
+    @pytest.mark.parametrize(
+        "features",
+        [
+            {"telemetry_window": 64},
+            {"closed_loop_window": 2},
+            {"telemetry_window": 64, "controllers": ("throttle",)},
+        ],
+        ids=["telemetry", "closed-loop", "controllers"],
+    )
+    def test_telemetry_scenarios_are_interpreter_only(self, features):
+        """Batched requests using a hooked feature run on the interpreter,
+        by the same rule in the profiler and the runner."""
+        base = _point(cycles=256)
+        scenario = replace(base, sim=replace(base.sim, engine="batched", **features))
         profiles = profile_simulation(scenario)
         assert set(profiles) == {"interpreter"}
+        events = []
+        Runner(observer=events.append).run([scenario])
+        [done] = [ev for ev in events if ev["event"] == "point.completed"]
+        assert done["engine"] == "interpreter"
 
     def test_non_simulation_scenario_rejected(self):
         scenario = scenario_family("paper-grid", hops_options=[3])[0]

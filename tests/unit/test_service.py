@@ -548,6 +548,24 @@ class TestScheduler:
         assert events[-1]["event"] == "job.failed"
         assert replay_ledger(events).state == "failed"
 
+    def test_failed_batched_unit_fails_every_point(self, tmp_path, monkeypatch):
+        from repro.simulation import BatchSimulator
+
+        def boom(self, traces, **kwargs):
+            raise RuntimeError("lockstep boom")
+
+        monkeypatch.setattr(BatchSimulator, "run_batch", boom)
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            job = sched.submit(quick_request(params={**QUICK, "engine": "batched"}))
+            failed = sched.wait(job.job_id, timeout=120)
+        finally:
+            sched.stop()
+        assert failed.state == "failed"
+        assert failed.error == "RuntimeError: lockstep boom"
+        assert failed.failed_points == failed.n_points == 2
+        assert failed.point_states == {0: "failed", 1: "failed"}
+
     def test_submit_events_precede_dispatch(self, tmp_path, monkeypatch):
         append = RunLedger.append
 
