@@ -5,13 +5,14 @@ Not a paper figure: these records quantify the two wins of
 loop on a single run, and the amortization of one scenario family's
 shared state across a whole rate sweep. ``interpreter_sweep_16pt`` and
 ``batch_engine_sweep_16pt`` time the *identical* 16-point 8x8 saturation
-family through both engines; the CI bench-smoke gate asserts the batched
-sweep sustains >= 3x the interpreter's points/sec (the engines are
-bit-identical, so the comparison is purely about speed).
+family through both engines on prebuilt traces.
 
 The ``sweep_e2e_16pt_*`` records time what a user waits for: one
 ``Runner.run`` of a 16-rate 8x8 saturation family on a fresh cache,
-trace generation included, per engine and at ``jobs`` 1 and 2.
+trace generation included, per engine and at ``jobs`` 1 and 2. The CI
+bench-smoke speedup gate divides ``sweep_e2e_16pt_interpreter`` by
+``sweep_e2e_16pt_batched`` (the engines are bit-identical, so the
+comparison is purely about speed).
 """
 
 import numpy as np
@@ -156,8 +157,7 @@ def test_perf_batch_engine_single(run_bench):
 
 
 def test_perf_sweep_amortization(run_bench):
-    """Both engines must produce bit-identical sweeps; the speedup itself
-    is gated in CI from the two BENCH records."""
+    """Both engines must produce bit-identical sweeps on prebuilt traces."""
     ref = run_bench("interpreter_sweep_16pt")
     got = run_bench("batch_engine_sweep_16pt")
     assert len(ref) == len(got) == len(SWEEP_RATES)
@@ -169,7 +169,8 @@ def test_perf_sweep_amortization(run_bench):
 
 
 def test_perf_sweep_e2e_records_agree(run_bench):
-    """Every engine and pool size returns the identical sweep metrics."""
+    """Every engine and pool size returns the identical sweep metrics; the
+    batched speedup is gated in CI from the first two records."""
     ref = run_bench("sweep_e2e_16pt_interpreter")
     assert len(ref) == len(SWEEP_RATES)
     assert all(m["drained"] for m in ref)

@@ -183,11 +183,15 @@ class ClosedLoopSession:
         self.config = config
         self.n_nodes = demand.n_nodes
         self.demand_total = demand.n_packets
-        # Per-source demand queues; Trace packets are (time, src, dst)
-        # sorted, so each queue is in demand-time order.
-        self._pending: list[deque] = [deque() for _ in range(demand.n_nodes)]
-        for rec in demand.packets:
-            self._pending[rec.src].append(rec)
+        # Per-source demand queues of packet indices into the demand
+        # columns; a trace is (time, src, dst) sorted, so each queue is in
+        # demand-time order.
+        self._time = demand.time.tolist()
+        self._dst = demand.dst.tolist()
+        self._size = demand.size_flits.tolist()
+        self._pending: list[deque[int]] = [deque() for _ in range(demand.n_nodes)]
+        for i, src in enumerate(demand.src.tolist()):
+            self._pending[src].append(i)
         self._outstanding = [0] * demand.n_nodes
         self._peak = 0
         # packet_id -> (role, source, request release cycle).
@@ -218,20 +222,22 @@ class ClosedLoopSession:
             self._pending
         )
 
-    def _issue_request(self, rec, release_cycle: int) -> Packet:
+    def _issue_request(self, src: int, release_cycle: int) -> Packet:
+        """Release ``src``'s next pending demand packet."""
+        i = self._pending[src].popleft()
         pid = self._next_id
         self._next_id = pid + 1
-        inject = max(rec.time, release_cycle)
-        self._roles[pid] = (_REQUEST, rec.src, inject)
-        self._outstanding[rec.src] += 1
-        if self._outstanding[rec.src] > self._peak:
-            self._peak = self._outstanding[rec.src]
+        inject = max(self._time[i], release_cycle)
+        self._roles[pid] = (_REQUEST, src, inject)
+        self._outstanding[src] += 1
+        if self._outstanding[src] > self._peak:
+            self._peak = self._outstanding[src]
         self.requests_issued += 1
         return Packet(
             packet_id=pid,
-            src=rec.src,
-            dst=rec.dst,
-            size_flits=rec.size_flits,
+            src=src,
+            dst=self._dst[i],
+            size_flits=self._size[i],
             inject_time=inject,
         )
 
@@ -249,9 +255,8 @@ class ClosedLoopSession:
         window = self.config.window
         released: list[Packet] = []
         for src in range(self.n_nodes):
-            queue = self._pending[src]
-            while queue and self._outstanding[src] < window:
-                released.append(self._issue_request(queue.popleft(), 0))
+            while self._pending[src] and self._outstanding[src] < window:
+                released.append(self._issue_request(src, 0))
         return released
 
     def on_delivered(self, packet: Packet, eject_cycle: int) -> list[Packet]:
@@ -285,9 +290,8 @@ class ClosedLoopSession:
         self._reply_latencies.append(eject_cycle - packet.inject_time)
         self.round_trip_sum += eject_cycle - released_at
         self._outstanding[source] -= 1
-        queue = self._pending[source]
-        if queue:
-            return [self._issue_request(queue.popleft(), eject_cycle)]
+        if self._pending[source]:
+            return [self._issue_request(source, eject_cycle)]
         return []
 
     def finalize(self, cycles: int) -> ClosedLoopStats:

@@ -528,7 +528,9 @@ class Runner:
         stream stays lazy; otherwise every unit is submitted to a
         process pool up front. Each point reports ``point.dispatched``,
         ``point.simulating`` and ``point.completed`` (or
-        ``point.failed``), or one ``point.cached``.
+        ``point.failed``), or one ``point.cached``. When a pool unit
+        raises, the other units are settled (:meth:`_settle`) before
+        the error propagates.
         """
         batch = list(scenarios)
         hits, units = self._plan(batch)
@@ -551,7 +553,12 @@ class Runner:
                     yield ScenarioResult(s, metrics, cached=True)
                     continue
                 if unit.results is None:
-                    self._execute(unit)
+                    try:
+                        self._execute(unit)
+                    except Exception:
+                        if pool is not None:
+                            self._settle(units, failed=unit)
+                        raise
                 yield unit.results[i]
         finally:
             if pool is not None:
@@ -633,6 +640,23 @@ class Runner:
             engine=unit.engine,
             cached=False,
         )
+
+    def _settle(self, units: list[_Unit], failed: _Unit) -> None:
+        """End every other pool unit after ``failed`` raised.
+
+        Queued units are cancelled; running and finished ones are
+        collected, so their points are cached and report
+        ``point.completed``. Cancelled units and units that raise report
+        ``point.failed``: every point ends in exactly one terminal event.
+        """
+        pending = [u for u in units if u.results is None and u is not failed]
+        for unit in pending:
+            unit.future.cancel()
+        for unit in pending:
+            try:
+                self._execute(unit)
+            except Exception:
+                pass  # reported as point.failed by _execute
 
     def _emit_unit(self, unit: _Unit, event: str, **fields: Any) -> None:
         """Report ``event`` once for each point of ``unit``."""

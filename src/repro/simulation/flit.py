@@ -2,8 +2,11 @@
 
 The simulator is flit-granular: a :class:`Packet` of ``size_flits`` flits
 travels as a wormhole — head flit (index 0) allocates VCs, body flits
-follow, the tail flit (index ``size_flits - 1``) releases them. Flits are
-represented as light-weight :class:`Flit` records referencing their packet.
+follow, the tail flit (index ``size_flits - 1``) releases them. These
+records are the packet/flit vocabulary of the public API and of the
+closed-loop session hooks (:mod:`repro.control.sources` releases
+:class:`Packet` objects); inside a run the interpreter keeps per-packet
+state in flat lists read from the trace's columns.
 """
 
 from __future__ import annotations

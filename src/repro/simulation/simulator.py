@@ -26,17 +26,21 @@ matters — ``repro bench run --name simulator_run`` is the measurement): the
 state of a run is a handful of flat Python lists over one
 :class:`SlotLayout` — per input-VC slot a flit FIFO and the allocated route,
 per output VC its credits and busy flag, per output port two round-robin
-pointers — and the VC/switch allocators and the credit protocol are inlined
-statements of one loop, not method calls on per-router objects. The
-batched engine (:mod:`repro.simulation.batch`) reads the same layout. Per
-cycle the loop touches only *occupied* VCs of *active* routers (one
-occupancy bitmask per router) and only sources with injection work, so
-cost scales with in-flight flits rather than network size; statistics are
+pointers, per packet its destination, size, injection cycle and dateline
+classes (read straight from the trace's columns) — and the VC/switch
+allocators and the credit protocol are inlined statements of one loop, not
+method calls on per-router objects. The batched engine
+(:mod:`repro.simulation.batch`) reads the same layout. Per cycle the loop
+touches only VCs whose head flit has left the router pipeline (one
+ready bitmask per router, set from per-cycle readiness buckets) and only
+sources with injection work, so cost scales with in-flight flits rather
+than network size; link flights are per-cycle buckets too, statistics are
 plain-int counters converted to numpy once at the end, and event-free
 stretches of the clock are fast-forwarded. All of this is observably
 identical to the straightforward loop — scan order, round-robin state and
-heap tie-breaks are preserved bit-for-bit (``tests/unit/test_simulator_golden.py``
-and ``tests/unit/test_hooked_golden.py`` pin that).
+link-arrival order are preserved bit-for-bit
+(``tests/unit/test_simulator_golden.py`` and
+``tests/unit/test_hooked_golden.py`` pin that).
 """
 
 from __future__ import annotations
@@ -45,13 +49,12 @@ import heapq
 import math
 import time
 from bisect import insort
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.simulation.flit import Flit, Packet
 from repro.tech.parameters import Technology
 from repro.topology.graph import LinkKind, Topology
 from repro.topology.routing import RoutingTable
@@ -61,6 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telemetry -> sim)
     from repro.control.controllers import ControlSession, ControlTrace
     from repro.control.sources import ClosedLoopSession, ClosedLoopStats
     from repro.obs.profile import PhaseProfile
+    from repro.simulation.flit import Packet
     from repro.telemetry.sampler import TelemetryConfig, TelemetryTrace
 
 __all__ = ["LOCAL_PORT", "SimConfig", "SimStats", "SlotLayout", "Simulator"]
@@ -175,10 +179,23 @@ class SlotLayout(NamedTuple):
     """Per dateline class, per output port: allocatable VC count."""
 
 
+class _Flit:
+    """One buffered flit: flit ``index`` of packet ``pid``."""
+
+    __slots__ = ("pid", "index", "ready_time")
+
+    def __init__(self, pid: int, index: int, ready_time: int) -> None:
+        self.pid = pid
+        self.index = index
+        self.ready_time = ready_time
+        """Earliest cycle the flit may compete for switch allocation at
+        its current router (arrival + router pipeline)."""
+
+
 class _RunState(NamedTuple):
     """Mutable state of one run over a :class:`SlotLayout`."""
 
-    fifos: list[deque[Flit]]
+    fifos: list[deque[_Flit]]
     """Per slot, the buffered flits."""
     route: list[int]
     """Per slot, the output port allocated to its packet (-1: none)."""
@@ -257,6 +274,15 @@ class Simulator:
         # The routing table's next-link LUT as a memoryview: indexing it
         # yields plain ints without copying the n x n array.
         self._route_lut = memoryview(self.routing.route_lut)
+        # Per slot, its router and its bit in that router's ready mask.
+        self._slot_node = [
+            node
+            for node in range(topo.n_nodes)
+            for _ in range(slot_lo[node], slot_lo[node + 1])
+        ]
+        self._slot_bit = [
+            1 << (s - slot_lo[node]) for s, node in enumerate(self._slot_node)
+        ]
 
     def _fresh_state(self) -> _RunState:
         """Pristine run state (run() starts from a cold network)."""
@@ -272,6 +298,14 @@ class Simulator:
             vc_rr=[0] * n_ports,
             sa_rr=[0] * n_ports,
         )
+
+    def _occupied(self, fifos: list[deque[_Flit]]) -> list[int]:
+        """Per router, its input VCs holding flits (telemetry snapshots)."""
+        lo = self.layout.slot_lo
+        return [
+            sum(1 for fifo in fifos[lo[node] : lo[node + 1]] if fifo)
+            for node in range(self.topology.n_nodes)
+        ]
 
     def _vc_range(self, vc_class: int, out_key: int) -> tuple[int, int] | None:
         """Dateline VC partition for a packet class (None = all VCs).
@@ -398,87 +432,106 @@ class Simulator:
         slot_lo = lay.slot_lo
         slot_up = lay.slot_up
         link_slot = lay.link_slot
-        link_dst = lay.link_dst
         link_cycles = lay.link_cycles
         link_express = lay.link_express
         link_row = lay.link_row
         vc_lo = lay.port_vc_lo
         vc_span = lay.port_vc_span
+        slot_node = self._slot_node
+        slot_bit = self._slot_bit
         route_lut = self._route_lut
         heappush = heapq.heappush
         heappop = heapq.heappop
         fifos, route, route_vc, credits, busy, vc_rr, sa_rr = self._fresh_state()
-        # Occupancy as one bitmask per router (bit i == the router's i-th
-        # slot holds flits), kept at the push/pop sites, so the per-cycle
-        # scan walks only occupied slots — ascending bit order is the scan
-        # order. port_bit[i] is the input port of a router's i-th slot, as
-        # a bit of the switch allocator's input_used mask.
-        occ_mask = [0] * n_nodes
+        # Readiness: bit i of ready_mask[node] is set while the router's
+        # i-th slot holds a head flit that has left the router pipeline,
+        # so the per-cycle scan walks only ready heads — ascending bit
+        # order is the scan order. A flit that becomes a slot's head
+        # before its ready cycle is entered in that cycle's bucket of
+        # ready_at (cycle -> slots), which sets the bit when the cycle
+        # arrives. port_bit[i] is the input port of a router's i-th slot,
+        # as a bit of the switch allocator's input_used mask.
+        ready_mask = [0] * n_nodes
+        ready_routers: set[int] = set()
+        ready_at: defaultdict[int, list[int]] = defaultdict(list)
         port_bit = [
             1 << (i // n_vcs)
             for i in range(max(b - a for a, b in zip(slot_lo, slot_lo[1:])))
         ]
 
-        packets = [
-            Packet(
-                packet_id=i,
-                src=rec.src,
-                dst=rec.dst,
-                size_flits=rec.size_flits,
-                inject_time=rec.time,
-            )
-            for i, rec in enumerate(trace.packets)
-        ]
+        # Per-packet state, indexed by packet id: trace packets in trace
+        # order, then closed-loop packets in release order.
+        p_time = trace.time.tolist()
+        p_dst = trace.dst.tolist()
+        p_size = trace.size_flits.tolist()
+        n_packets = len(p_time)
         n_flits = trace.total_flits
-        if closed_loop is not None:
-            # The session releases each source's first window of requests
-            # up front; later releases arrive from the delivery hook.
-            initial = closed_loop.begin(len(packets), n_nodes)
-            packets.extend(initial)
-            n_flits += sum(p.size_flits for p in initial)
-        n_packets = len(packets)
-        # Preallocated latency buffer, filled at ejection; -1 = in flight.
-        lat_buf = np.full(max(n_packets, 1), -1, dtype=np.int64)
-        source_queues: list[list[Packet]] = [[] for _ in range(n_nodes)]
-        for pkt in packets:
-            source_queues[pkt.src].append(pkt)
-        if closed_loop is not None:
-            # Closed-loop releases interleave with any open-loop packets;
-            # per-source queues must stay time-sorted (stable, so the
-            # open-loop-only order is untouched).
-            for q in source_queues:
-                q.sort(key=lambda p: p.inject_time)
-        src_pos = [0] * n_nodes
-        pending_flit: list[Flit | None] = [None] * n_nodes
-        pending_vc = [0] * n_nodes
+        # Dateline VC classes for row and column links (see
+        # Packet.vc_class), and the latency filled at ejection (-1: in
+        # flight).
+        cls_x = [0] * n_packets
+        cls_y = [0] * n_packets
+        lat_of = [-1] * n_packets
+        # Per-source injection queues of packet ids: the trace is
+        # (time, src, dst) sorted, so a stable split by source keeps each
+        # queue in time order.
+        by_src = np.argsort(trace.src, kind="stable")
+        q_ends = np.cumsum(np.bincount(trace.src, minlength=n_nodes))
+        source_queues: list[list[int]] = [
+            q.tolist() for q in np.split(by_src, q_ends[:-1])
+        ]
+        session_packets: dict[int, Packet] = {}
 
-        # Injection wake-ups: (time, node) events to (re)activate sources.
-        wakeups: list[tuple[int, int]] = sorted(
-            {(q[0].inject_time, n) for n, q in enumerate(source_queues) if q}
-        )
-        heapq.heapify(wakeups)
-        inj_active: set[int] = set()
-
-        def register_packet(pkt: Packet) -> None:
-            """Admit a session-released packet (request or reply) mid-run."""
-            nonlocal n_packets, n_flits, lat_buf
+        def add_packet(pkt: Packet) -> None:
+            """Add a session-released packet (request or reply)."""
+            nonlocal n_packets, n_flits
             if pkt.packet_id != n_packets:  # pragma: no cover - invariant
                 raise RuntimeError("closed-loop packet ids must be sequential")
             n_packets += 1
             n_flits += pkt.size_flits
-            packets.append(pkt)
-            if pkt.packet_id >= lat_buf.shape[0]:
-                lat_buf = np.concatenate(
-                    [lat_buf, np.full(lat_buf.shape[0], -1, dtype=np.int64)]
-                )
+            p_time.append(pkt.inject_time)
+            p_dst.append(pkt.dst)
+            p_size.append(pkt.size_flits)
+            cls_x.append(0)
+            cls_y.append(0)
+            lat_of.append(-1)
+            session_packets[pkt.packet_id] = pkt
+
+        if closed_loop is not None:
+            # The session releases each source's first window of requests
+            # up front; later releases arrive from the delivery hook.
+            for pkt in closed_loop.begin(n_packets, n_nodes):
+                add_packet(pkt)
+                source_queues[pkt.src].append(pkt.packet_id)
+            # Closed-loop releases interleave with any open-loop packets;
+            # per-source queues must stay time-sorted (stable, so the
+            # open-loop-only order is untouched).
+            for q in source_queues:
+                q.sort(key=p_time.__getitem__)
+        # Per source: queue position, the packet whose flits it is
+        # injecting (-1: none), that packet's next flit and its VC.
+        src_pos = [0] * n_nodes
+        pending_pid = [-1] * n_nodes
+        pending_idx = [0] * n_nodes
+        pending_vc = [0] * n_nodes
+
+        # Injection wake-ups: (time, node) events to (re)activate sources.
+        wakeups: list[tuple[int, int]] = sorted(
+            (p_time[q[0]], n) for n, q in enumerate(source_queues) if q
+        )
+        inj_active: set[int] = set()
+
+        def register_packet(pkt: Packet) -> None:
+            """Admit a session-released packet mid-run."""
+            add_packet(pkt)
             node = pkt.src
             # Keep the unconsumed queue suffix time-sorted: a release at
             # cycle t may precede an already-queued future injection.
             insort(
                 source_queues[node],
-                pkt,
+                pkt.packet_id,
                 lo=src_pos[node],
-                key=lambda p: p.inject_time,
+                key=p_time.__getitem__,
             )
             if node not in inj_active:
                 heappush(wakeups, (pkt.inject_time, node))
@@ -492,12 +545,12 @@ class Simulator:
             throttle_period = control.throttle_period
             vc_limits = control.vc_limits
 
-        # Link pipeline: min-heap of (arrival, seq, flit, link_id, vc).
-        flight: list[tuple[int, int, Flit, int, int]] = []
-        seq = 0
+        # Link pipeline: per arrival cycle, the (flit, destination slot)
+        # pairs in send order.
+        flight: defaultdict[int, list[tuple[_Flit, int]]] = defaultdict(list)
+        n_flight = 0
         delivered = 0
         lat_sum = 0
-        active: set[int] = set()
         t = 0
 
         if prof is not None:
@@ -507,18 +560,25 @@ class Simulator:
             if prof is not None:
                 _t = _pns()
                 _iters += 1
-            # ---- 1. link arrivals -------------------------------------------
-            while flight and flight[0][0] <= t:
-                _, _, flit, link_id, vc_idx = heappop(flight)
-                s = link_slot[link_id] + vc_idx
-                fifo = fifos[s]
-                if len(fifo) >= vc_depth:
-                    raise OverflowError("VC buffer overflow: credit protocol violated")
-                flit.ready_time = t + pipeline
-                fifo.append(flit)
-                node = link_dst[link_id]
-                occ_mask[node] |= 1 << (s - slot_lo[node])
-                active.add(node)
+            # ---- 1. link arrivals and readiness -------------------------------
+            landing = flight.pop(t, None)
+            if landing is not None:
+                n_flight -= len(landing)
+                ready = t + pipeline
+                for flit, s in landing:
+                    fifo = fifos[s]
+                    if len(fifo) >= vc_depth:
+                        raise OverflowError("VC buffer overflow: credit protocol violated")
+                    flit.ready_time = ready
+                    if not fifo:
+                        ready_at[ready].append(s)
+                    fifo.append(flit)
+            due = ready_at.pop(t, None)
+            if due is not None:
+                for s in due:
+                    node = slot_node[s]
+                    ready_mask[node] |= slot_bit[s]
+                    ready_routers.add(node)
             if prof is not None:
                 _t2 = _pns()
                 _ph_arr += _t2 - _t
@@ -534,15 +594,10 @@ class Simulator:
             admit = throttle_period == 1 or t % throttle_period == 0
             for node in inj_active:
                 base = slot_lo[node]  # the LOCAL port's VCs come first
-                flit = pending_flit[node]
+                pid = pending_pid[node]
                 queue = source_queues[node]
                 pos = src_pos[node]
-                if (
-                    admit
-                    and flit is None
-                    and pos < len(queue)
-                    and queue[pos].inject_time <= t
-                ):
+                if admit and pid < 0 and pos < len(queue) and p_time[queue[pos]] <= t:
                     # A new packet takes an idle injection VC (empty, no
                     # route), round-robin from the last one used; a control
                     # session's limit confines it to VCs 0..limit-1.
@@ -554,30 +609,30 @@ class Simulator:
                         vc_idx = (start + i) % usable
                         if not fifos[base + vc_idx] and route[base + vc_idx] < 0:
                             pending_vc[node] = vc_idx
-                            flit = Flit(queue[pos], 0)
+                            pid = queue[pos]
+                            pending_idx[node] = 0
                             src_pos[node] = pos = pos + 1
                             break
-                if flit is not None:
-                    vc_idx = pending_vc[node]
-                    fifo = fifos[base + vc_idx]
+                if pid >= 0:
+                    s = base + pending_vc[node]
+                    fifo = fifos[s]
                     if len(fifo) < vc_depth:
-                        flit.ready_time = t + pipeline
-                        fifo.append(flit)
-                        occ_mask[node] |= 1 << vc_idx
-                        active.add(node)
-                        pkt = flit.packet
-                        pending_flit[node] = (
-                            None
-                            if flit.index == pkt.size_flits - 1
-                            else Flit(pkt, flit.index + 1)
-                        )
-                    else:
-                        pending_flit[node] = flit  # stalled; retry next cycle
-                if pending_flit[node] is None:
+                        ready = t + pipeline
+                        if not fifo:
+                            ready_at[ready].append(s)
+                        index = pending_idx[node]
+                        fifo.append(_Flit(pid, index, ready))
+                        if index == p_size[pid] - 1:
+                            pid = -1
+                        else:
+                            pending_idx[node] = index + 1
+                    # else: stalled; the flit retries next cycle
+                    pending_pid[node] = pid
+                if pid < 0:
                     if pos >= len(queue):
                         done_nodes.append(node)
-                    elif queue[pos].inject_time > t:
-                        heappush(wakeups, (queue[pos].inject_time, node))
+                    elif p_time[queue[pos]] > t:
+                        heappush(wakeups, (p_time[queue[pos]], node))
                         done_nodes.append(node)
             for node in done_nodes:
                 inj_active.discard(node)
@@ -592,13 +647,11 @@ class Simulator:
             # (repro.simulation.batch): the only cross-router interaction
             # inside one cycle is the instant credit return below, so the
             # visit order is observable and must be pinned for the two
-            # engines to agree bit-for-bit.
-            idle_routers: list[int] = []
-            for node in sorted(active):
-                m = occ_mask[node]
-                if not m:
-                    idle_routers.append(node)
-                    continue
+            # engines to agree bit-for-bit. A head still in the router
+            # pipeline never had a side effect in the scan, so walking
+            # only ready heads changes nothing observable.
+            for node in sorted(ready_routers):
+                m = ready_mask[node]
                 base = slot_lo[node]
 
                 # VC allocation for ready head flits without a route; every
@@ -610,15 +663,13 @@ class Simulator:
                     m ^= low
                     i = low.bit_length() - 1
                     s = base + i
-                    head = fifos[s][0]
-                    if head.ready_time > t:
-                        continue
                     port = route[s]
                     if port < 0:
+                        head = fifos[s][0]
                         if head.index != 0:  # pragma: no cover - invariant
                             raise RuntimeError("body flit without VC allocation")
-                        pkt = head.packet
-                        dst = pkt.dst
+                        pid = head.pid
+                        dst = p_dst[pid]
                         if node == dst:
                             port = n_links + node  # the ejection sink
                             out_vc = port * n_vcs
@@ -632,9 +683,9 @@ class Simulator:
                             if link_express[port]:
                                 cls = 1
                             elif link_row[port]:
-                                cls = pkt.vc_class
+                                cls = cls_x[pid]
                             else:
-                                cls = pkt.vc_class_y
+                                cls = cls_y[pid]
                             lo = vc_lo[cls][port]
                             span = vc_span[cls][port]
                             rr = vc_rr[port]
@@ -680,10 +731,14 @@ class Simulator:
                     fifo = fifos[s]
                     flit = fifo.popleft()
                     if not fifo:
-                        occ_mask[node] &= ~(1 << i)
+                        ready_mask[node] &= ~(1 << i)
+                    elif fifo[0].ready_time > t + 1:
+                        # The next flit becomes head still in the pipeline.
+                        ready_mask[node] &= ~(1 << i)
+                        ready_at[fifo[0].ready_time].append(s)
                     out_vc = route_vc[s]
-                    pkt = flit.packet
-                    is_tail = flit.index == pkt.size_flits - 1
+                    pid = flit.pid
+                    is_tail = flit.index == p_size[pid] - 1
                     if is_tail:
                         route[s] = -1  # the tail releases the route
                     router_counts[node] += 1
@@ -695,19 +750,22 @@ class Simulator:
                         credits[up] += 1
                     if port >= n_links:  # ejection
                         if is_tail:
-                            pkt.eject_time = t + 1
-                            lat = t + 1 - pkt.inject_time
-                            lat_buf[pkt.packet_id] = lat
+                            lat = t + 1 - p_time[pid]
+                            lat_of[pid] = lat
                             lat_sum += lat
                             delivered += 1
-                            if closed_loop is not None:
-                                # A delivered request spawns its reply; a
-                                # delivered reply returns the source's
-                                # credit, releasing stalled demand.
-                                for new_pkt in closed_loop.on_delivered(
-                                    pkt, t + 1
-                                ):
-                                    register_packet(new_pkt)
+                            if session_packets:
+                                pkt = session_packets.pop(pid, None)
+                                if pkt is not None:
+                                    # A delivered request spawns its reply;
+                                    # a delivered reply returns the
+                                    # source's credit, releasing stalled
+                                    # demand.
+                                    pkt.eject_time = t + 1
+                                    for new_pkt in closed_loop.on_delivered(
+                                        pkt, t + 1
+                                    ):
+                                        register_packet(new_pkt)
                     else:
                         if credits[out_vc] <= 0:
                             raise RuntimeError("sent without credit: flow-control bug")
@@ -719,26 +777,19 @@ class Simulator:
                             # Dateline: express crossings promote the packet
                             # to VC class 1 within the crossed dimension.
                             if link_row[port]:
-                                pkt.vc_class = 1
+                                cls_x[pid] = 1
                             else:
-                                pkt.vc_class_y = 1
-                        seq += 1
-                        heappush(
-                            flight,
-                            (
-                                t + link_cycles[port],
-                                seq,
-                                flit,
-                                port,
-                                out_vc - port * n_vcs,
-                            ),
+                                cls_y[pid] = 1
+                        flight[t + link_cycles[port]].append(
+                            (flit, link_slot[port] + out_vc - port * n_vcs)
                         )
+                        n_flight += 1
+                if not ready_mask[node]:
+                    ready_routers.discard(node)
                 if prof is not None:
                     _t2 = _pns()
                     _ph_sw += _t2 - _t
                     _t = _t2
-            for node in idle_routers:
-                active.discard(node)
 
             # ---- 4. termination ------------------------------------------------
             t += 1
@@ -746,15 +797,16 @@ class Simulator:
                 if prof is not None:
                     _ph_drain += _pns() - _t
                 break
-            if not active and not inj_active:
-                # Nothing buffered and no source mid-packet: every cycle
-                # until the next link arrival or injection wake-up is a
-                # no-op, so fast-forward the clock to it (clamped to the
-                # budget). Cycle accounting is unchanged — the skipped
-                # cycles would have done exactly nothing.
+            if not ready_routers and not ready_at and not inj_active:
+                # Nothing buffered (a buffered head is either ready or due
+                # in ready_at) and no source mid-packet: every cycle until
+                # the next link arrival or injection wake-up is a no-op,
+                # so fast-forward the clock to it (clamped to the budget).
+                # Cycle accounting is unchanged — the skipped cycles would
+                # have done exactly nothing.
                 nxt = max_cycles
-                if flight and flight[0][0] < nxt:
-                    nxt = flight[0][0]
+                if flight:
+                    nxt = min(nxt, min(flight))
                 if wakeups and wakeups[0][0] < nxt:
                     nxt = wakeups[0][0]
                 if nxt > t:
@@ -762,8 +814,8 @@ class Simulator:
             # ---- 5. telemetry flush (no-op sentinel when disabled) -----------
             if t >= telem_next:
                 telem_next = session.flush_to(
-                    t, router_counts, link_counts, occ_mask, len(flight),
-                    delivered, lat_sum,
+                    t, router_counts, link_counts, self._occupied(fifos),
+                    n_flight, delivered, lat_sum,
                 )
                 if control is not None:
                     # Controllers acted inside the flush (via the window
@@ -775,11 +827,12 @@ class Simulator:
 
         if prof is not None:
             _final_start = _pns()
-        latencies = lat_buf[:n_packets][lat_buf[:n_packets] >= 0]
+        latencies = np.asarray(lat_of, dtype=np.int64)
+        latencies = latencies[latencies >= 0]
         telemetry_trace = None
         if session is not None:
             telemetry_trace = session.finalize(
-                t, router_counts, link_counts, occ_mask, len(flight),
+                t, router_counts, link_counts, self._occupied(fifos), n_flight,
                 delivered, lat_sum,
             )
         stats = SimStats(

@@ -12,6 +12,7 @@ typically show good performance at high injection rates").
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.simulation.simulator import SimConfig, Simulator
 from repro.topology.graph import Topology
 from repro.topology.routing import RoutingTable
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+from repro.traffic.trace import MAX_PACKET_FLITS, Trace
 from repro.util.rng import SeedLike, ensure_rng
 
 __all__ = ["synthetic_trace", "LoadPoint", "latency_throughput_sweep"]
@@ -63,33 +64,49 @@ def synthetic_trace(
     n = traffic.n_nodes
     tm = traffic.scaled_to_injection_rate(injection_rate)
     rates = tm.injection_rates() / packet_flits  # packets/node/cycle
-    if np.any(rates > 1.0):
+    if (rates > 1.0).any():
         raise ValueError(
             "per-node packet rate exceeds 1/cycle; lower the injection rate"
         )
+    row_sums = tm.matrix.sum(axis=1, keepdims=True)
     dest_probs = np.divide(
-        tm.matrix,
-        tm.matrix.sum(axis=1, keepdims=True),
-        out=np.zeros_like(tm.matrix),
-        where=tm.matrix.sum(axis=1, keepdims=True) > 0,
+        tm.matrix, row_sums, out=np.zeros_like(tm.matrix), where=row_sums > 0
     )
 
-    records: list[PacketRecord] = []
-    for s in range(n):
-        if rates[s] <= 0:
+    # Generator.choice(n, p=row) draws one rng.random() and bisects the
+    # row's normalized cumulative sum (side="right"); doing the same with
+    # bisect_right over that CDF keeps the random stream and skips
+    # choice's per-call validation. Geometric inter-arrival sampling is
+    # O(packets), not O(cycles).
+    cdfs = dest_probs.cumsum(axis=1)
+    last = cdfs[:, -1:]
+    cdfs = np.divide(cdfs, last, out=cdfs, where=last > 0).tolist()
+    geometric = rng.geometric
+    uniform = rng.random
+    times: list[int] = []
+    dsts: list[int] = []
+    per_source = [0] * n
+    for s, rate in enumerate(rates.tolist()):
+        if rate <= 0:
             continue
-        # Geometric inter-arrival sampling is O(packets), not O(cycles).
-        t = int(rng.geometric(min(1.0, rates[s]))) - 1
+        p = min(1.0, rate)
+        cdf = cdfs[s]
+        first = len(times)
+        t = geometric(p) - 1
         while t < cycles:
             # No self-draw filtering needed: TrafficMatrix enforces a zero
             # diagonal, so dest_probs[s][s] == 0 and every draw is a real
             # injection — the effective rate matches the requested one.
-            d = int(rng.choice(n, p=dest_probs[s]))
-            records.append(PacketRecord(t, s, d, packet_flits))
-            t += int(rng.geometric(min(1.0, rates[s])))
-    return Trace(
+            times.append(t)
+            dsts.append(bisect_right(cdf, uniform()))
+            t += geometric(p)
+        per_source[s] = len(times) - first
+    return Trace.from_columns(
         n,
-        records,
+        times,
+        np.repeat(np.arange(n), per_source),
+        dsts,
+        np.full(len(times), packet_flits),
         name=name or f"synthetic-r{injection_rate:g}-p{packet_flits}",
     )
 

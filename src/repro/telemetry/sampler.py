@@ -215,22 +215,19 @@ class TelemetrySession:
         end: int,
         router_counts: list[int],
         link_counts: list[int],
-        occ_mask: list[int],
+        occupied: list[int],
         n_in_flight: int,
         delivered: int,
         latency_sum: int,
     ) -> None:
         cur_router = np.asarray(router_counts, dtype=np.int64)
         cur_link = np.asarray(link_counts, dtype=np.int64)
-        occupied = np.fromiter(
-            (m.bit_count() for m in occ_mask), dtype=np.int64, count=self.n_nodes
-        )
         row = (
             self._window_start,
             end,
             cur_router - self._prev_router,
             cur_link - self._prev_link,
-            occupied,
+            np.asarray(occupied, dtype=np.int64),
             n_in_flight,
             delivered - self._prev_delivered,
             latency_sum - self._prev_latency,
@@ -259,7 +256,7 @@ class TelemetrySession:
         t: int,
         router_counts: list[int],
         link_counts: list[int],
-        occ_mask: list[int],
+        occupied: list[int],
         n_in_flight: int,
         delivered: int,
         latency_sum: int,
@@ -270,7 +267,7 @@ class TelemetrySession:
                 self.next_boundary,
                 router_counts,
                 link_counts,
-                occ_mask,
+                occupied,
                 n_in_flight,
                 delivered,
                 latency_sum,
@@ -283,7 +280,7 @@ class TelemetrySession:
         t: int,
         router_counts: list[int],
         link_counts: list[int],
-        occ_mask: list[int],
+        occupied: list[int],
         n_in_flight: int,
         delivered_total: int,
         latency_sum_total: int,
@@ -299,7 +296,7 @@ class TelemetrySession:
             t,
             router_counts,
             link_counts,
-            occ_mask,
+            occupied,
             n_in_flight,
             delivered_total,
             latency_sum_total,
@@ -309,7 +306,7 @@ class TelemetrySession:
                 t,
                 router_counts,
                 link_counts,
-                occ_mask,
+                occupied,
                 n_in_flight,
                 delivered_total,
                 latency_sum_total,

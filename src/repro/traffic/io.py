@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+import numpy as np
+
+from repro.traffic.trace import MAX_PACKET_FLITS, Trace
 
 __all__ = ["save_trace", "load_trace", "load_external_trace"]
 
@@ -36,8 +38,13 @@ def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
         f"packets={trace.n_packets}"
     ]
     lines.extend(
-        f"{pkt.time} {pkt.src} {pkt.dst} {pkt.size_flits}"
-        for pkt in trace.packets
+        f"{t} {s} {d} {f}"
+        for t, s, d, f in zip(
+            trace.time.tolist(),
+            trace.src.tolist(),
+            trace.dst.tolist(),
+            trace.size_flits.tolist(),
+        )
     )
     p.write_text("\n".join(lines) + "\n")
 
@@ -46,7 +53,9 @@ def load_trace(path: str | pathlib.Path) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
     Raises:
-        ValueError: on malformed lines or a missing/invalid header.
+        ValueError: on malformed lines, a missing/invalid header, or a
+            packet count that differs from the header's ``packets=`` (a
+            truncated file).
     """
     p = pathlib.Path(path)
     lines = p.read_text().splitlines()
@@ -59,11 +68,12 @@ def load_trace(path: str | pathlib.Path) -> Trace:
     )
     try:
         n_nodes = int(header["nodes"])
+        expected = int(header["packets"]) if "packets" in header else None
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{p}: bad header {lines[0]!r}") from exc
     name = header.get("name", p.stem)
 
-    packets: list[PacketRecord] = []
+    rows: list[tuple[int, int, int, int]] = []
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -72,11 +82,17 @@ def load_trace(path: str | pathlib.Path) -> Trace:
         if len(parts) != 4:
             raise ValueError(f"{p}:{lineno}: expected 4 fields, got {line!r}")
         try:
-            time, src, dst, size = (int(x) for x in parts)
+            rows.append(tuple(int(x) for x in parts))
         except ValueError as exc:
             raise ValueError(f"{p}:{lineno}: non-integer field in {line!r}") from exc
-        packets.append(PacketRecord(time=time, src=src, dst=dst, size_flits=size))
-    return Trace(n_nodes, packets, name=name)
+    if expected is not None and expected != len(rows):
+        raise ValueError(f"{p}: header says {expected} packets, file holds {len(rows)}")
+    return _from_rows(n_nodes, rows, name)
+
+
+def _from_rows(n_nodes: int, rows: list[tuple[int, int, int, int]], name: str) -> Trace:
+    cols = np.array(rows, dtype=np.int64).reshape(len(rows), 4).T
+    return Trace.from_columns(n_nodes, *cols, name=name)
 
 
 def load_external_trace(
@@ -156,7 +172,4 @@ def load_external_trace(
         if n_nodes is not None
         else max(max(r[1], r[2]) for r in rows) + 1
     )
-    packets = [
-        PacketRecord(time=t, src=s, dst=d, size_flits=f) for t, s, d, f in rows
-    ]
-    return Trace(max(nodes, 2), packets, name=name or p.stem)
+    return _from_rows(max(nodes, 2), rows, name or p.stem)

@@ -36,9 +36,9 @@ class TrafficMatrix:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"traffic matrix must be square, got {m.shape}")
-        if np.any(m < 0):
+        if (m < 0).any():
             raise ValueError("traffic matrix entries must be >= 0")
-        if np.any(np.diag(m) != 0):
+        if (m.diagonal() != 0).any():
             raise ValueError("traffic matrix diagonal must be zero (no self-traffic)")
         self.matrix = m
 

@@ -21,9 +21,11 @@ Design points:
   the same :class:`~repro.traffic.trace.Trace` always serializes to the
   identical file. That makes trace files content-addressable and lets CI
   diff them.
-* **Streaming** — :func:`iter_trace_packets` yields packets without
-  materializing a :class:`Trace` (one list entry per packet); consumers
-  that want vectorized access use :func:`trace_columns` directly.
+* **Column-native** — :func:`load_trace_npz` hands the stored columns
+  to :meth:`Trace.from_columns` without a per-packet object;
+  :func:`iter_trace_packets` streams :class:`PacketRecord` objects for
+  callers that want records, and :func:`trace_columns` skips the
+  :class:`Trace` checks altogether.
 """
 
 from __future__ import annotations
@@ -216,12 +218,10 @@ def trace_columns(
 
 
 def iter_trace_packets(path: str | pathlib.Path) -> Iterator[PacketRecord]:
-    """Stream a trace file's packets without building a full Trace.
+    """Stream a trace file's packets as :class:`PacketRecord` objects.
 
-    Column arrays are held in memory (a few bytes per packet), but
-    :class:`PacketRecord` objects are materialized one at a time — the
-    per-packet Python-object overhead of :func:`load_trace_npz` never
-    accumulates.
+    Column arrays are held in memory (a few bytes per packet), and
+    records are materialized one at a time, so they never accumulate.
     """
     _, cols = trace_columns(path)
     time, src, dst, size = (
@@ -234,10 +234,11 @@ def iter_trace_packets(path: str | pathlib.Path) -> Iterator[PacketRecord]:
 def load_trace_npz(path: str | pathlib.Path) -> Trace:
     """Load a trace file into a :class:`Trace` (exact save round-trip)."""
     header, cols = trace_columns(path)
-    packets = [
-        PacketRecord(int(t), int(s), int(d), int(f))
-        for t, s, d, f in zip(
-            cols["time"], cols["src"], cols["dst"], cols["size_flits"]
-        )
-    ]
-    return Trace(int(header["n_nodes"]), packets, name=str(header["name"]))
+    return Trace.from_columns(
+        int(header["n_nodes"]),
+        cols["time"],
+        cols["src"],
+        cols["dst"],
+        cols["size_flits"],
+        name=str(header["name"]),
+    )

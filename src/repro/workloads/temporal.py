@@ -5,7 +5,7 @@ memoryless Bernoulli process (`repro.simulation.workload.synthetic_trace`)
 and phase-structured NPB traces. Real interconnect traffic is neither —
 measured NoC/datacenter workloads burst on many timescales. This module
 adds the standard temporal models of the traffic literature, all emitting
-the same :class:`~repro.traffic.trace.Trace` records the simulator already
+the same :class:`~repro.traffic.trace.Trace` columns the simulator already
 consumes:
 
 * :func:`onoff_trace` — two-state ON/OFF (MMPP-style) bursty injection
@@ -35,7 +35,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.traffic.matrix import TrafficMatrix
-from repro.traffic.trace import MAX_PACKET_FLITS, PacketRecord, Trace
+from repro.traffic.trace import MAX_PACKET_FLITS, Trace
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -79,21 +79,40 @@ def _source_rng(seed: int, source: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(int(seed), source))
 
 
-def _records_for_source(
-    rng: np.random.Generator,
-    times: np.ndarray,
-    source: int,
-    dest_probs: np.ndarray,
-    packet_flits: int,
-) -> list[PacketRecord]:
-    """Draw destinations in one vectorized call and build the records."""
-    if times.size == 0:
-        return []
-    dsts = rng.choice(dest_probs.size, size=times.size, p=dest_probs)
-    return [
-        PacketRecord(int(t), source, int(d), packet_flits)
-        for t, d in zip(times, dsts)
-    ]
+class _Columns:
+    """Per-source packet columns, gathered into one :class:`Trace`."""
+
+    def __init__(self, n_nodes: int, packet_flits: int) -> None:
+        self.n_nodes = n_nodes
+        self.packet_flits = packet_flits
+        self.times: list[np.ndarray] = []
+        self.dsts: list[np.ndarray] = []
+        self.counts = np.zeros(n_nodes, dtype=np.int64)
+
+    def add(
+        self,
+        rng: np.random.Generator,
+        times: np.ndarray,
+        source: int,
+        dest_probs: np.ndarray,
+    ) -> None:
+        """Draw ``source``'s destinations in one vectorized call."""
+        if times.size == 0:
+            return
+        self.times.append(times)
+        self.dsts.append(rng.choice(dest_probs.size, size=times.size, p=dest_probs))
+        self.counts[source] = times.size
+
+    def trace(self, name: str) -> Trace:
+        n = int(self.counts.sum())
+        return Trace.from_columns(
+            self.n_nodes,
+            np.concatenate(self.times) if self.times else [],
+            np.repeat(np.arange(self.n_nodes), self.counts),
+            np.concatenate(self.dsts) if self.dsts else [],
+            np.full(n, self.packet_flits),
+            name=name,
+        )
 
 
 def _bernoulli_times(
@@ -165,7 +184,7 @@ def onoff_trace(
             f"(burst_len {burst_len:g}, duty {duty:g}); raise burst_len, "
             "lower the duty, or use duty=1 for no OFF periods"
         )
-    records: list[PacketRecord] = []
+    cols = _Columns(traffic.n_nodes, packet_flits)
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -181,16 +200,8 @@ def onoff_trace(
             t += on_len
             if duty < 1.0:
                 t += int(rng.geometric(1.0 / mean_off))
-        records.extend(
-            _records_for_source(
-                rng, np.asarray(times, dtype=np.int64), s, dest_probs[s], packet_flits
-            )
-        )
-    return Trace(
-        traffic.n_nodes,
-        records,
-        name=name or f"onoff-r{injection_rate:g}-d{duty:g}",
-    )
+        cols.add(rng, np.asarray(times, dtype=np.int64), s, dest_probs[s])
+    return cols.trace(name or f"onoff-r{injection_rate:g}-d{duty:g}")
 
 
 def pareto_onoff_trace(
@@ -243,7 +254,7 @@ def pareto_onoff_trace(
             f"(min_on {min_on:g}, duty {duty:g}); raise min_on, lower the "
             "duty, or use duty=1 for no OFF periods"
         )
-    records: list[PacketRecord] = []
+    cols = _Columns(traffic.n_nodes, packet_flits)
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -258,16 +269,8 @@ def pareto_onoff_trace(
             t += on_len
             if duty < 1.0:
                 t += max(1, round(min_off * (1.0 + rng.pareto(alpha))))
-        records.extend(
-            _records_for_source(
-                rng, np.asarray(times, dtype=np.int64), s, dest_probs[s], packet_flits
-            )
-        )
-    return Trace(
-        traffic.n_nodes,
-        records,
-        name=name or f"pareto-r{injection_rate:g}-a{alpha:g}",
-    )
+        cols.add(rng, np.asarray(times, dtype=np.int64), s, dest_probs[s])
+    return cols.trace(name or f"pareto-r{injection_rate:g}-a{alpha:g}")
 
 
 def modulated_trace(
@@ -318,7 +321,7 @@ def modulated_trace(
             return np.where(phase < 0.5, 1.0 + depth, 1.0 - depth)
         return 1.0 - depth + 2.0 * depth * phase  # ramp
 
-    records: list[PacketRecord] = []
+    cols = _Columns(traffic.n_nodes, packet_flits)
     for s in range(traffic.n_nodes):
         if rates[s] <= 0:
             continue
@@ -331,14 +334,8 @@ def modulated_trace(
                 factor(candidates) / (1.0 + depth)
             )
             candidates = candidates[accept]
-        records.extend(
-            _records_for_source(rng, candidates, s, dest_probs[s], packet_flits)
-        )
-    return Trace(
-        traffic.n_nodes,
-        records,
-        name=name or f"{envelope}-r{injection_rate:g}-d{depth:g}",
-    )
+        cols.add(rng, candidates, s, dest_probs[s])
+    return cols.trace(name or f"{envelope}-r{injection_rate:g}-d{depth:g}")
 
 
 def mix_trace(
@@ -397,7 +394,7 @@ def mix_trace(
             raise ValueError(f"component share must be > 0, got {share}")
         parsed.append((model, share, params))
     total_share = sum(share for _, share, _ in parsed)
-    records: list[PacketRecord] = []
+    parts: list[Trace] = []
     for i, (model, share, params) in enumerate(parsed):
         component = TEMPORAL_MODELS[model](
             traffic,
@@ -407,10 +404,13 @@ def mix_trace(
             seed=derive_seed(seed, i),
             **params,
         )
-        records.extend(component.packets)
-    return Trace(
+        parts.append(component)
+    return Trace.from_columns(
         traffic.n_nodes,
-        records,
+        *(
+            np.concatenate([getattr(part, key) for part in parts])
+            for key in ("time", "src", "dst", "size_flits")
+        ),
         name=name
         or "mix-" + "+".join(m for m, _, _ in parsed) + f"-r{injection_rate:g}",
     )

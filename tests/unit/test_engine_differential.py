@@ -178,21 +178,54 @@ class TestEngineSeam:
                 assert [r.cached for r in second] == [True] * 4
                 assert [r.metrics for r in first] == [r.metrics for r in second]
 
-    def test_failed_batched_unit_reports_every_point(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_batched_unit_reports_every_point(self, monkeypatch, jobs):
         def boom(self, traces, **kwargs):
             raise RuntimeError("lockstep boom")
 
         monkeypatch.setattr(BatchSimulator, "run_batch", boom)
         events = []
+        rates = (0.05, 0.1, 0.15, 0.2)
         with pytest.raises(RuntimeError, match="lockstep boom"):
-            Runner(observer=events.append).run(self._scenarios("batched"))
+            Runner(jobs=jobs, observer=events.append).run(
+                self._scenarios("batched", rates)
+            )
         stages = {}
         for ev in events:
             stages.setdefault(ev["point"], []).append(ev["event"])
-        lifecycle = ["point.dispatched", "point.simulating", "point.failed"]
-        assert stages == {i: lifecycle for i in range(3)}
+        # An inline unit is simulating before it raises; a pool unit that
+        # raises goes from dispatched to failed.
+        lifecycle = ["point.dispatched", "point.failed"]
+        if jobs == 1:
+            lifecycle.insert(1, "point.simulating")
+        assert stages == {i: lifecycle for i in range(4)}
         errors = {ev["error"] for ev in events if ev["event"] == "point.failed"}
         assert errors == {"RuntimeError: lockstep boom"}
+
+    def test_failed_pool_unit_keeps_finished_units(self, monkeypatch):
+        """The other units of a failed pool sweep still finish and cache."""
+        run_batch = BatchSimulator.run_batch
+
+        def boom_on_pairs(self, traces, **kwargs):
+            if len(traces) == 2:
+                raise RuntimeError("lockstep boom")
+            return run_batch(self, traces, **kwargs)
+
+        monkeypatch.setattr(BatchSimulator, "run_batch", boom_on_pairs)
+        events = []
+        runner = Runner(jobs=2, observer=events.append)
+        # Two strided chunks: points (0, 2) fail, point 1 runs alone.
+        scenarios = self._scenarios("batched")
+        with pytest.raises(RuntimeError, match="lockstep boom"):
+            runner.run(scenarios)
+        terminal = {
+            ev["point"]: ev["event"]
+            for ev in events
+            if ev["event"] in ("point.completed", "point.failed")
+        }
+        assert terminal == {0: "point.failed", 1: "point.completed", 2: "point.failed"}
+        assert runner.cache.get(scenarios[1]) is not None
+        assert runner.cache.get(scenarios[0]) is None
 
     def test_pool_composes_with_batched_grouping(self):
         """jobs=2 runs strided batched chunks on the pool, bit-identically."""

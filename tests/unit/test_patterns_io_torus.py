@@ -137,6 +137,23 @@ class TestTraceIO:
         )
         assert load_trace(path).n_packets == 1
 
+    def test_rejects_truncated_file(self, tmp_path):
+        trace = Trace(16, [PacketRecord(t, t % 4, 5, 1) for t in range(6)])
+        path = tmp_path / "cut.trace"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:2])
+        with pytest.raises(ValueError, match="expected 4 fields"):
+            load_trace(path)
+        path.write_text("".join(lines[:-1]))  # cut at a line boundary
+        with pytest.raises(ValueError, match="header says 6 packets, file holds 5"):
+            load_trace(path)
+
+    def test_header_without_count_is_accepted(self, tmp_path):
+        path = tmp_path / "nocount.trace"
+        path.write_text("# repro-trace nodes=4 name=x\n0 0 1 1\n3 1 2 1\n")
+        assert load_trace(path).n_packets == 2
+
 
 class TestTorus:
     def test_row_torus_link_count(self):

@@ -27,6 +27,8 @@ GOLDEN_SHA256 = {
             "9c9bc5500bf36c282bde71603ac0e0ad25553001fa45f20c5278b9eccf74ef28",
         "golden_hooked_simstats.json":
             "edac450b7e9dc7fdf5042858e645665c28fd270ed75679a7ffe0fc47d88e872a",
+        "golden_traces.json":
+            "be59da8d646882913dabe9714fafc6d49c4b039f6e1bd8ed1827ebc070e340d2",
     },
 }
 

@@ -201,6 +201,57 @@ class TestTrace:
         with pytest.raises(ValueError):
             PacketRecord(0, 2, 2, 1)
 
+    def test_columns_are_read_only(self):
+        tr = Trace(4, [PacketRecord(0, 0, 1, 1), PacketRecord(1, 2, 3, 4)])
+        for key, column in tr.columns().items():
+            assert column.dtype == np.int64, key
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            tr.time += 1
+
+    def test_from_columns_copies_and_sorts(self):
+        time = np.array([5, 2, 2, 2])
+        src = np.array([0, 1, 0, 1])
+        dst = np.array([1, 3, 3, 0])
+        tr = Trace.from_columns(4, time, src, dst, [1, 2, 3, 4], name="cols")
+        time[0] = 99  # the trace holds its own copy
+        # Stable (time, src, dst) order: equal keys keep input order.
+        assert tr.time.tolist() == [2, 2, 2, 5]
+        assert tr.src.tolist() == [0, 1, 1, 0]
+        assert tr.dst.tolist() == [3, 0, 3, 1]
+        assert tr.size_flits.tolist() == [3, 4, 2, 1]
+        assert tr.packets == [
+            PacketRecord(2, 0, 3, 3),
+            PacketRecord(2, 1, 0, 4),
+            PacketRecord(2, 1, 3, 2),
+            PacketRecord(5, 0, 1, 1),
+        ]
+        assert tr == Trace(4, tr.packets, name="cols")
+        assert tr != Trace(4, tr.packets, name="other")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((-1, 0, 1, 1), "injection time must be >= 0"),
+            ((0, 2, 2, 1), "packet to self at node 2"),
+            ((0, 0, 1, 0), "packet size must be 1..32"),
+            ((0, 0, 1, MAX_PACKET_FLITS + 1), "packet size must be 1..32"),
+            ((0, 0, 4, 1), "packet endpoints outside 0..3"),
+            ((0, -1, 1, 1), "packet endpoints outside 0..3"),
+        ],
+    )
+    def test_from_columns_validation(self, row, message):
+        good = (3, 1, 2, 1)
+        cols = [list(c) for c in zip(good, row)]
+        with pytest.raises(ValueError, match=message):
+            Trace.from_columns(4, *cols)
+
+    def test_empty_trace(self):
+        tr = Trace.from_columns(4, [], [], [], [])
+        assert tr.n_packets == tr.total_flits == tr.duration_cycles == 0
+        assert tr.packets == [] and tr == Trace(4, [])
+
 
 class TestSchedulePhases:
     def test_source_serialization(self):
