@@ -8,10 +8,6 @@ Guards :mod:`repro.obs`'s performance contracts the same way
   append per span);
 * ``obs_metrics_snapshot`` — a deterministic registry snapshot over a
   populated registry (the ``/api/v1/metrics`` hot path);
-* ``obs_sampler_tick`` — one telemetry-pipeline sampling tick
-  (snapshot -> frame -> ring append) over a populated registry: the
-  recurring background cost a serving process pays every
-  ``--sample-interval`` seconds;
 * ``obs_prom_render`` — Prometheus text exposition over that snapshot
   (the root ``/metrics`` scrape body);
 * ``obs_ledger_append`` — a burst of run-ledger lifecycle appends
@@ -29,9 +25,7 @@ counter values.
 from repro.bench import benchmark_spec
 from repro.obs import (
     MetricsRegistry,
-    MetricsSampler,
     RunLedger,
-    SeriesStore,
     enable_tracing,
     load_ledger,
     render_prometheus,
@@ -82,25 +76,6 @@ def _registry_fixture():
 def run_snapshot(reg):
     """Deterministic full-registry snapshot (the /metrics hot path)."""
     return reg.snapshot()
-
-
-def _sampler_fixture():
-    # Bounded ring: repeated ticks overwrite instead of growing, so the
-    # bench measures steady-state sampling, not list growth.
-    store = SeriesStore(capacity=64)
-    return MetricsSampler(store, registry=_registry_fixture())
-
-
-@benchmark_spec(
-    "obs_sampler_tick",
-    setup=_sampler_fixture,
-    points=3 * N_METRICS,
-    tags=("perf", "obs", "smoke"),
-)
-def run_sampler_tick(sampler):
-    """One pipeline sampling tick over a populated registry."""
-    sampler.tick()
-    return sampler.store
 
 
 def _snapshot_fixture():
@@ -167,7 +142,7 @@ def _progress_docs_fixture():
 )
 def run_progress_render(docs):
     """One full ``repro obs top`` screen over N_TOP_JOBS progress docs."""
-    return render_top(docs, sparkline=[float(i % 9) for i in range(32)])
+    return render_top(docs)
 
 
 def test_perf_span_throughput(run_bench):
@@ -183,12 +158,6 @@ def test_perf_metrics_snapshot(run_bench):
     assert len(snap["counters"]) == N_METRICS
     assert snap["counters"]["bench.counter.042"] == 42
     assert snap["histograms"]["bench.hist.007"]["count"] == 1
-
-
-def test_perf_sampler_tick(run_bench):
-    store = run_bench("obs_sampler_tick")
-    assert len(store) >= 1
-    assert store.latest().counters["bench.counter.042"] == 42
 
 
 def test_perf_prom_render(run_bench):
@@ -210,7 +179,6 @@ def test_perf_ledger_append(run_bench):
 def test_perf_progress_render(run_bench):
     screen = run_bench("obs_progress_render")
     assert screen.count("job-") == N_TOP_JOBS
-    assert "points/s" in screen
     # Running jobs sort above terminal ones.
     first_row = next(l for l in screen.splitlines() if "job-" in l)
     assert "running" in first_row

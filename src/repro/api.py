@@ -10,8 +10,9 @@ between releases:
   (:func:`scenario_family`, :func:`paper_point`), and the stable
   content hash / JSON codec (:func:`scenario_hash`,
   :func:`scenario_to_json`, :func:`scenario_from_json`);
-* **run** it — :class:`Runner` (serial / process pool, submit/poll via
-  :class:`SweepHandle`), :func:`evaluate_scenario`,
+* **run** it — :class:`Runner` (serial / process pool, results streamed
+  by ``Runner.run_iter``; the deprecated ``Runner.submit`` still returns
+  a :class:`SweepHandle`), :func:`evaluate_scenario`,
   :func:`simulate_scenario`, the :func:`run_batch` convenience, and
   :class:`EvaluationCache` for cross-run reuse;
 * **persist** results — the byte-deterministic npz archive primitives
@@ -29,16 +30,12 @@ between releases:
   telemetry rather than the stack's own performance. Sweep
   introspection rides on the same layer: the durable run ledger
   (:class:`RunLedger`, :func:`load_ledger`, :func:`replay_ledger`,
-  :func:`export_ledger`), live progress/ETA tracking
-  (:class:`ProgressTracker`, :func:`render_top`), and sweep-level
-  profile aggregation (:func:`merge_profiles`, :class:`SweepProfile`,
+  :func:`export_ledger`), whose fold feeds the live progress screen
+  (:func:`render_top`), and sweep-level profile aggregation
+  (:func:`merge_profiles`, :class:`SweepProfile`,
   :func:`render_sweep_profile`);
-* **operate** it — the telemetry pipeline: :class:`MetricsSampler`
-  feeding a :class:`SeriesStore` (persisted via
-  :func:`save_history_npz` / :func:`load_history_npz`), Prometheus
-  text exposition (:func:`render_prometheus`), and declarative SLO
-  alerting (:class:`SloRule`, :class:`SloEngine`,
-  :func:`load_slo_rules`).
+* **operate** it — Prometheus text exposition (:func:`render_prometheus`)
+  of the metrics a scraper keeps history of and alerts on.
 
 The deep modules stay importable (nothing here is a wrapper — every name
 is a re-export), but this module is the compatibility surface: names
@@ -69,20 +66,13 @@ from repro.experiments import (
     simulate_scenario,
 )
 from repro.obs import (
-    MetricsSampler,
     PhaseProfile,
-    ProgressTracker,
     RunLedger,
-    SeriesStore,
-    SloEngine,
-    SloRule,
     SweepProfile,
     enable_tracing,
     export_ledger,
     export_trace,
-    load_history_npz,
     load_ledger,
-    load_slo_rules,
     merge_profiles,
     metrics_snapshot,
     profile_simulation,
@@ -91,7 +81,6 @@ from repro.obs import (
     render_sweep_profile,
     render_top,
     replay_ledger,
-    save_history_npz,
     setup_logging,
     span,
 )
@@ -110,18 +99,13 @@ from repro.workloads import (
 
 __all__ = [
     "EvaluationCache",
-    "MetricsSampler",
     "PhaseProfile",
-    "ProgressTracker",
     "RunLedger",
     "Runner",
     "Scenario",
     "ScenarioResult",
-    "SeriesStore",
     "ServiceClient",
     "SimSpec",
-    "SloEngine",
-    "SloRule",
     "SweepHandle",
     "SweepProfile",
     "TopologySpec",
@@ -131,9 +115,7 @@ __all__ = [
     "export_ledger",
     "export_trace",
     "family_names",
-    "load_history_npz",
     "load_ledger",
-    "load_slo_rules",
     "load_telemetry_npz",
     "load_trace_npz",
     "make_server",
@@ -150,7 +132,6 @@ __all__ = [
     "render_top",
     "replay_ledger",
     "run_batch",
-    "save_history_npz",
     "save_telemetry_npz",
     "save_trace_npz",
     "scenario_family",

@@ -30,7 +30,7 @@ Usage::
     python -m repro fetch job-000001 --out results.npz
     python -m repro jobs                # audit: job history + cache stats
     python -m repro obs metrics --prom  # Prometheus-format metrics dump
-    python -m repro obs slo             # SLO rule states + alert history
+    python -m repro obs top             # live per-job progress screen
 
 Each command prints the rendered ASCII table/figure to stdout; heavier
 commands expose their main knobs as flags. Sweep-shaped commands route
@@ -857,11 +857,6 @@ _DEFAULT_SERVICE_URL = "http://127.0.0.1:8032"
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
-    slo_rules = ()
-    if args.slo_rules:
-        from repro.obs import load_slo_rules
-
-        slo_rules = load_slo_rules(args.slo_rules)
     return serve(
         args.host,
         args.port,
@@ -869,8 +864,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         log_level=args.log_level,
         log_json=args.log_json,
-        sample_interval=args.sample_interval,
-        slo_rules=slo_rules,
     )
 
 
@@ -1182,21 +1175,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         print("error: --interval must be > 0 seconds", file=sys.stderr)
         return 2
     client = _service_client(args)
-
-    def _completion_deltas() -> list[float]:
-        # Per-sample increments of the cumulative completed-points
-        # counter — the footer sparkline. Absent history (sampler off,
-        # metric not yet sampled) degrades to no sparkline.
-        try:
-            hist = client.history("scheduler.points_completed")
-        except ServiceError:
-            return []
-        pts = hist.get("points") or []
-        return [
-            max(0.0, float(pts[i][1]) - float(pts[i - 1][1]))
-            for i in range(1, len(pts))
-        ]
-
     shown = 0
     while True:
         try:
@@ -1216,7 +1194,7 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         else:
             if shown:
                 print("\x1b[2J\x1b[H", end="")
-            print(render_top(flat, sparkline=_completion_deltas()))
+            print(render_top(flat))
         shown += 1
         if args.count and shown >= args.count:
             return 0
@@ -1224,53 +1202,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             _time.sleep(args.interval)
         except KeyboardInterrupt:
             return 0
-
-
-def _cmd_obs_slo(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import ServiceError
-    from repro.util import format_table
-
-    client = _service_client(args)
-    try:
-        doc = client.alerts()
-    except ServiceError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-        return 1 if doc["firing"] else 0
-    if not doc["rules"]:
-        print("no SLO rules configured (start the service with --slo-rules FILE)")
-        return 0
-    rows = [
-        [
-            r["name"],
-            r["state"],
-            r["metric"],
-            r["signal"],
-            f"{r['op']} {r['threshold']:g}",
-            "-" if r["value"] is None else f"{r['value']:g}",
-        ]
-        for r in doc["rules"]
-    ]
-    print(
-        format_table(
-            ["rule", "state", "metric", "signal", "threshold", "value"],
-            rows,
-            title="SLO rules",
-        )
-    )
-    for e in doc["events"][-5:]:
-        val = "-" if e["value"] is None else f"{e['value']:g}"
-        print(
-            f"  {e['state']:<8} {e['rule']} "
-            f"value={val} threshold={e['threshold']:g}"
-        )
-    firing = doc["firing"]
-    print(f"firing: {', '.join(firing) if firing else 'none'}")
-    return 1 if firing else 0
 
 
 def _cmd_obs_trace(args: argparse.Namespace) -> int:
@@ -1763,18 +1694,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit logs as JSON lines instead of key=value text",
     )
-    psv.add_argument(
-        "--slo-rules",
-        metavar="FILE",
-        help="JSON file of SLO alert rules evaluated every sampling tick "
-        "(see EXPERIMENTS.md §10 for the rule schema)",
-    )
-    psv.add_argument(
-        "--sample-interval",
-        type=float,
-        default=1.0,
-        help="metrics time-series sampling period in seconds (default 1.0)",
-    )
     _add_engine_flags(psv)
     psv.set_defaults(func=_cmd_serve)
 
@@ -1865,8 +1784,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pobs = sub.add_parser(
         "obs",
-        help="observability: process metrics, live sweep top, SLO alerts, "
-        "span traces, profiling",
+        help="observability: process metrics, live sweep top, span "
+        "traces, profiling",
     )
     obs_sub = pobs.add_subparsers(dest="obs_command", required=True)
     pom = obs_sub.add_parser(
@@ -1914,13 +1833,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_service_client_flags(ptop)
     ptop.set_defaults(func=_cmd_obs_top)
-    posl = obs_sub.add_parser(
-        "slo",
-        help="SLO rule states and firing/resolved alert history "
-        "(exit 1 while any rule is firing)",
-    )
-    _add_service_client_flags(posl)
-    posl.set_defaults(func=_cmd_obs_slo)
     pot = obs_sub.add_parser(
         "trace", help="span trace captured while a job executed"
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -369,14 +370,14 @@ class _Unit:
 
 
 class SweepHandle:
-    """An in-flight batch submitted via :meth:`Runner.submit`.
+    """An in-flight batch submitted via the deprecated :meth:`Runner.submit`.
 
     A background thread drives the runner's ordered result stream;
     :meth:`poll` drains whatever completed since the previous poll
-    without blocking, which is the seam long-running consumers (the
-    experiment service's dispatcher, progress UIs) build job progress
-    on. :meth:`results` blocks until the batch finishes and re-raises
-    any evaluation error. Results always arrive in input order.
+    without blocking. :meth:`results` blocks until the batch finishes
+    and re-raises any evaluation error. Results always arrive in input
+    order. Iterating :meth:`Runner.run_iter` gives the same stream on
+    the caller's own thread.
     """
 
     def __init__(self, runner: "Runner", scenarios: Sequence[Scenario]) -> None:
@@ -511,12 +512,18 @@ class Runner:
     def submit(self, scenarios: Iterable[Scenario]) -> SweepHandle:
         """Start evaluating a batch asynchronously; returns its handle.
 
-        The non-blocking face of :meth:`run`: evaluation proceeds on a
-        background thread (sharing this runner's cache and executor
-        settings) while the caller polls progress via
-        :meth:`SweepHandle.poll`. ``handle.results()`` is equivalent to
-        ``runner.run(scenarios)`` — same order, same cache flow.
+        Deprecated: iterate :meth:`run_iter` instead, which streams the
+        same results without a background thread. Evaluation proceeds on
+        a thread (sharing this runner's cache and executor settings)
+        while the caller polls via :meth:`SweepHandle.poll`;
+        ``handle.results()`` is equivalent to ``runner.run(scenarios)``
+        — same order, same cache flow.
         """
+        warnings.warn(
+            "Runner.submit is deprecated; iterate Runner.run_iter instead",
+            DeprecationWarning,
+            stacklevel=2,
+        )
         return SweepHandle(self, list(scenarios))
 
     def run_iter(self, scenarios: Iterable[Scenario]) -> Iterator[ScenarioResult]:

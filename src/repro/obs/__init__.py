@@ -8,21 +8,17 @@ jobs (:mod:`~repro.obs.trace`), process-wide operational counters behind
 the service (:mod:`~repro.obs.logs`), and opt-in per-phase cycle-loop
 profiling of both engines (:mod:`~repro.obs.profile`).
 
-On top of the point-in-time instruments sits the telemetry *pipeline*
-(:mod:`~repro.obs.pipeline`): a background sampler snapshots the
-registry into a bounded time-series ring with windowed rate/percentile
-derivation and byte-deterministic npz persistence, rendered for
-standard scrapers in Prometheus text format (:mod:`~repro.obs.promexp`)
-and judged by declarative SLO rules with firing/resolved alert
-transitions (:mod:`~repro.obs.slo`).
+The registry is exposed for standard scrapers in Prometheus text format
+(:mod:`~repro.obs.promexp`); history, rates and alert rules are the
+scraper's job, not this process's.
 
 Sweep introspection adds three sub-layers on the same foundations: a
 durable append-only NDJSON run ledger of per-point lifecycle
 transitions (:mod:`~repro.obs.ledger`) — each service job's only
-durable record, replayed into its :class:`~repro.obs.ledger.JobRecord` at boot — that
-exports deterministically; live progress/ETA tracking with
-terminal rendering helpers (:mod:`~repro.obs.progress`); and
-sweep-level aggregation of per-point :class:`PhaseProfile` captures
+durable record, replayed into its :class:`~repro.obs.ledger.JobRecord`
+at boot — that exports deterministically; live progress/ETA read off
+that record, with terminal rendering helpers (:mod:`~repro.obs.progress`);
+and sweep-level aggregation of per-point :class:`PhaseProfile` captures
 into per-phase p50/p99 breakdowns (:mod:`~repro.obs.aggregate`).
 
 Everything is off by default and designed so the disabled path costs a
@@ -63,24 +59,15 @@ from repro.obs.metrics import (
 from repro.obs.metrics import (
     snapshot as metrics_snapshot,
 )
-from repro.obs.pipeline import (
-    MetricsFrame,
-    MetricsSampler,
-    SeriesStore,
-    load_history_npz,
-    save_history_npz,
-)
 from repro.obs.profile import PhaseProfile, profile_simulation, render_profiles
 from repro.obs.progress import (
-    ProgressTracker,
     format_eta,
+    job_progress,
     render_bar,
     render_progress_line,
-    render_sparkline,
     render_top,
 )
 from repro.obs.promexp import render_prometheus, sanitize_metric_name
-from repro.obs.slo import AlertEvent, SloEngine, SloRule, load_slo_rules
 from repro.obs.trace import (
     SpanRecord,
     adopt_parent,
@@ -126,20 +113,9 @@ __all__ = [
     "metrics_snapshot",
     "reset_metrics",
     "percentile_from_snapshot",
-    # pipeline
-    "MetricsFrame",
-    "MetricsSampler",
-    "SeriesStore",
-    "save_history_npz",
-    "load_history_npz",
     # promexp
     "render_prometheus",
     "sanitize_metric_name",
-    # slo
-    "AlertEvent",
-    "SloEngine",
-    "SloRule",
-    "load_slo_rules",
     # logs
     "setup_logging",
     "get_logger",
@@ -156,11 +132,10 @@ __all__ = [
     "load_ledger",
     "replay_ledger",
     # progress
-    "ProgressTracker",
     "format_eta",
+    "job_progress",
     "render_bar",
     "render_progress_line",
-    "render_sparkline",
     "render_top",
     # aggregate
     "EngineAggregate",

@@ -142,8 +142,7 @@ class RunLedger:
     Opening an existing file repairs a torn tail in place (truncating to
     the last complete line) and continues the ``seq`` numbering from the
     surviving events, so resumed jobs keep one monotone sequence across
-    restarts. ``append`` is thread-safe: the sweep drive thread, the
-    dispatcher and HTTP submit threads may interleave events.
+    restarts. ``append`` is thread-safe.
     """
 
     def __init__(
@@ -201,7 +200,9 @@ class JobRecord:
     points returning as cache hits), ``cache_hits`` the cached subset.
     ``point_states`` maps point index to its latest lifecycle stage. An
     interrupted job stays ``running``: parked on disk, to be requeued at
-    the next boot.
+    the next boot. ``running_t`` and ``completion_ts`` are the events'
+    wall times that live progress (:func:`repro.obs.progress.job_progress`)
+    measures elapsed time and throughput from.
     """
 
     job_id: str | None = None
@@ -221,6 +222,11 @@ class JobRecord:
     """How many times a restarted service re-dispatched this job."""
     failed_points: int = 0
     point_states: dict[int, str] = field(default_factory=dict)
+    running_t: float | None = None
+    """Wall time of the ``job.running`` event since the last requeue."""
+    completion_ts: list[float] = field(default_factory=list)
+    """Wall times of the point completions (completed or cached) since
+    the last requeue, in ledger order."""
 
     def apply(self, ev: dict[str, Any]) -> None:
         """Fold one ledger event into this record."""
@@ -233,13 +239,18 @@ class JobRecord:
             self.spec_hashes = list(ev.get("spec_hashes", ()))
             self.sweep_hash = ev.get("sweep")
             self.request = ev.get("request")
-        elif name in ("job.running", "job.interrupted"):
+        elif name == "job.running":
+            self.state = "running"
+            self.running_t = ev.get("t")
+        elif name == "job.interrupted":
             self.state = "running"
         elif name == "job.requeued":
             self.state = "queued"
             self.resumed += 1
             self.points_done = self.cache_hits = self.failed_points = 0
             self.point_states = {i: "queued" for i in range(self.n_points)}
+            self.running_t = None
+            self.completion_ts = []
         elif name == "job.done":
             self.state = "done"
             self.release = ev.get("release")
@@ -254,8 +265,15 @@ class JobRecord:
             if stage in ("completed", "cached"):
                 self.points_done += 1
                 self.cache_hits += stage == "cached"
+                if "t" in ev:
+                    self.completion_ts.append(ev["t"])
             elif stage == "failed":
                 self.failed_points += 1
+
+    @property
+    def in_flight(self) -> int:
+        """Points dispatched to a worker and not yet completed or failed."""
+        return sum(s in ("dispatched", "simulating") for s in self.point_states.values())
 
     @property
     def cache_hit_ratio(self) -> float:

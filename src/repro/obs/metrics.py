@@ -147,9 +147,8 @@ def percentile_from_snapshot(doc: dict[str, Any], q: float) -> float:
     """:meth:`Histogram.percentile` over a histogram's ``to_json`` form.
 
     Lets consumers of a metrics snapshot (the CLI rendering a service's
-    ``/api/v1/metrics`` document, the SLO engine reading a sampled
-    frame) derive percentiles without holding the live object. NaN for
-    empty histograms, exactly like the live method.
+    ``/api/v1/metrics`` document) derive percentiles without holding the
+    live object. NaN for empty histograms, exactly like the live method.
     """
     buckets: dict[str, int] = doc["buckets"]
     finite = sorted(

@@ -1,183 +1,112 @@
-"""Live sweep progress: counters, sliding-window throughput, ETA.
+"""Live sweep progress from the job record: counts, throughput, ETA.
 
-A :class:`ProgressTracker` consumes the same runner lifecycle events the
-run ledger records (see :mod:`repro.obs.ledger`) and keeps, per job,
-the completed/cached/failed/in-flight counts, a sliding window of
-completion timestamps for point throughput, and worker-utilization
-gauges — everything ``GET /api/v1/jobs/<id>/progress``, ``repro status
---watch`` and ``repro obs top`` render. The ETA is rate-based:
-``remaining / throughput`` over the window, ``None`` until at least one
-point has landed.
+Progress is read off the job's :class:`~repro.obs.ledger.JobRecord`, the
+fold of its run ledger, so it agrees with the ledger by construction:
+the counts are the record's, the in-flight points are those whose
+latest stage is ``dispatched`` or ``simulating``, and the throughput is
+the number of completions whose ledger time falls in a sliding window.
+The ETA is rate-based: ``remaining / throughput`` over the window,
+``None`` until at least one point has landed. :func:`job_progress`
+builds the ``GET /api/v1/jobs/<id>/progress`` document that ``repro
+status --watch`` and ``repro obs top`` render.
 
 The rendering helpers are plain string formatters (no terminal state):
-:func:`render_bar` for progress bars, :func:`render_sparkline` for
-block-character series, :func:`render_top` for the full ``repro obs
-top`` screen and :func:`render_progress_line` for the one-line
-``status --watch`` ticker.
+:func:`render_bar` for progress bars, :func:`render_top` for the full
+``repro obs top`` screen and :func:`render_progress_line` for the
+one-line ``status --watch`` ticker.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from typing import Any
 
-from repro.obs.metrics import gauge
+from repro.obs.ledger import JobRecord
 
 __all__ = [
-    "ProgressTracker",
+    "job_progress",
+    "live_progress",
     "render_bar",
-    "render_sparkline",
     "render_progress_line",
     "render_top",
     "format_eta",
 ]
 
-_IN_FLIGHT = gauge("progress.points_in_flight")
-_ACTIVE_JOBS = gauge("progress.active_jobs")
-_UTILIZATION = gauge("progress.worker_utilization")
+#: Trailing window, in seconds, that live throughput is measured over.
+WINDOW_S = 30.0
 
 
-@dataclass
-class _JobProgress:
-    n_points: int
-    workers: int
-    started_at: float
-    completed: int = 0
-    cached: int = 0
-    failed: int = 0
-    in_flight: set[int] = field(default_factory=set)
-    #: Completion timestamps inside the sliding throughput window.
-    stamps: deque[float] = field(default_factory=lambda: deque(maxlen=4096))
+def live_progress(
+    record: JobRecord, *, now: float, workers: int, window_s: float = WINDOW_S
+) -> dict[str, Any]:
+    """Live counts, throughput and ETA of a running job.
 
-
-class ProgressTracker:
-    """Per-job progress state fed by runner lifecycle events.
-
-    ``clock`` is injectable for deterministic tests; the default is
-    :func:`time.monotonic`. All methods are thread-safe — events arrive
-    from the sweep drive thread while HTTP threads snapshot.
+    ``now`` is a wall time on the clock of the ledger events' ``t``
+    fields, and ``workers`` the worker count the job runs with.
     """
+    in_flight = record.in_flight
+    cutoff = now - window_s
+    recent = 0
+    for t in reversed(record.completion_ts):
+        if t < cutoff:
+            break
+        recent += 1
+    started = now if record.running_t is None else record.running_t
+    elapsed = max(now - started, 1e-9)
+    throughput = recent / min(window_s, elapsed) if recent else 0.0
+    remaining = max(record.n_points - record.points_done - record.failed_points, 0)
+    eta = remaining / throughput if throughput > 0 else None
+    return {
+        "completed": record.points_done - record.cache_hits,
+        "cached": record.cache_hits,
+        "failed": record.failed_points,
+        "in_flight": in_flight,
+        "throughput_pps": round(throughput, 6),
+        "eta_s": None if eta is None else round(eta, 3),
+        "elapsed_s": round(elapsed, 3),
+        "workers": workers,
+        "utilization": round(min(in_flight, workers) / workers, 6),
+    }
 
-    def __init__(
-        self,
-        *,
-        window_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.window_s = window_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._jobs: dict[str, _JobProgress] = {}
 
-    # -- event intake --------------------------------------------------------
+def job_progress(record: JobRecord, *, now: float, workers: int) -> dict[str, Any]:
+    """The ``/api/v1/jobs/<id>/progress`` document of one job.
 
-    def job_started(self, job_id: str, *, n_points: int, workers: int = 1) -> None:
-        with self._lock:
-            self._jobs[job_id] = _JobProgress(
-                n_points=n_points,
-                workers=max(1, workers),
-                started_at=self._clock(),
-            )
-            self._set_gauges()
-
-    def observe(self, job_id: str, event: str, fields: dict[str, Any]) -> None:
-        """Fold one runner lifecycle event (``point.*``) into the state."""
-        point = int(fields.get("point", -1))
-        if event == "point.dispatched":
-            self.note_dispatched(job_id, point)
-        elif event == "point.completed":
-            self.note_done(job_id, point, cached=False)
-        elif event == "point.cached":
-            self.note_done(job_id, point, cached=True)
-        elif event == "point.failed":
-            self.note_failed(job_id, point)
-
-    def note_dispatched(self, job_id: str, point: int) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                job.in_flight.add(point)
-                self._set_gauges()
-
-    def note_done(self, job_id: str, point: int, *, cached: bool) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return
-            job.in_flight.discard(point)
-            if cached:
-                job.cached += 1
-            else:
-                job.completed += 1
-            job.stamps.append(self._clock())
-            self._set_gauges()
-
-    def note_failed(self, job_id: str, point: int) -> None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                job.in_flight.discard(point)
-                job.failed += 1
-                self._set_gauges()
-
-    def job_finished(self, job_id: str) -> None:
-        with self._lock:
-            self._jobs.pop(job_id, None)
-            self._set_gauges()
-
-    def _set_gauges(self) -> None:
-        # Caller holds the lock.
-        _ACTIVE_JOBS.set(len(self._jobs))
-        _IN_FLIGHT.set(sum(len(j.in_flight) for j in self._jobs.values()))
-        workers = sum(j.workers for j in self._jobs.values())
-        busy = sum(
-            min(len(j.in_flight), j.workers) for j in self._jobs.values()
-        )
-        _UTILIZATION.set(busy / workers if workers else 0.0)
-
-    # -- queries -------------------------------------------------------------
-
-    def active_jobs(self) -> list[str]:
-        with self._lock:
-            return sorted(self._jobs)
-
-    def snapshot(self, job_id: str) -> dict[str, Any] | None:
-        """Live progress document for one active job (None if inactive)."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return None
-            now = self._clock()
-            cutoff = now - self.window_s
-            recent = sum(1 for t in job.stamps if t >= cutoff)
-            elapsed = max(now - job.started_at, 1e-9)
-            span = min(self.window_s, elapsed)
-            throughput = recent / span if recent else 0.0
-            done = job.completed + job.cached
-            remaining = max(job.n_points - done - job.failed, 0)
-            eta = remaining / throughput if throughput > 0 else None
-            return {
-                "completed": job.completed,
-                "cached": job.cached,
-                "failed": job.failed,
-                "in_flight": len(job.in_flight),
-                "throughput_pps": round(throughput, 6),
-                "eta_s": None if eta is None else round(eta, 3),
-                "elapsed_s": round(elapsed, 3),
-                "workers": job.workers,
-                "utilization": round(
-                    min(len(job.in_flight), job.workers) / job.workers, 6
-                ),
-            }
+    A running job carries :func:`live_progress`. Any other job reports
+    its final counts, an ETA of 0 (done) or None (queued, failed) and,
+    once done, its realized overall throughput.
+    """
+    done, n = record.points_done, record.n_points
+    doc: dict[str, Any] = {
+        "job_id": record.job_id,
+        "state": record.state,
+        "n_points": n,
+        "points_done": done,
+        "cache_hits": record.cache_hits,
+        "pct": round(100.0 * done / n, 2) if n else 0.0,
+        "resumed": record.resumed,
+    }
+    if record.state == "running":
+        doc.update(live_progress(record, now=now, workers=workers))
+        return doc
+    finished = record.state == "done"
+    doc.update(
+        completed=done - record.cache_hits,
+        cached=record.cache_hits,
+        failed=record.failed_points,
+        in_flight=0,
+        eta_s=0.0 if finished else None,
+        elapsed_s=record.duration_s,
+        throughput_pps=(
+            round(n / record.duration_s, 6)
+            if finished and record.duration_s
+            else None
+        ),
+    )
+    return doc
 
 
 # -- rendering ---------------------------------------------------------------
-
-_SPARK_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
 def render_bar(done: int, total: int, *, width: int = 24) -> str:
@@ -200,20 +129,6 @@ def format_eta(seconds: float | None) -> str:
     return f"{s // 3600}h{(s % 3600) // 60:02d}m"
 
 
-def render_sparkline(values: Sequence[float], *, width: int = 32) -> str:
-    """Block-character sparkline of the last ``width`` values."""
-    vals = [float(v) for v in values][-width:]
-    if not vals:
-        return ""
-    lo, hi = min(vals), max(vals)
-    if hi <= lo:
-        return _SPARK_BLOCKS[1] * len(vals)
-    scale = (len(_SPARK_BLOCKS) - 2) / (hi - lo)
-    return "".join(
-        _SPARK_BLOCKS[1 + int((v - lo) * scale)] for v in vals
-    )
-
-
 def render_progress_line(doc: dict[str, Any], *, width: int = 24) -> str:
     """One-line ticker for ``repro status --watch``."""
     n = doc.get("n_points", 0)
@@ -229,18 +144,11 @@ def render_progress_line(doc: dict[str, Any], *, width: int = 24) -> str:
     )
 
 
-def render_top(
-    jobs: Sequence[dict[str, Any]],
-    *,
-    sparkline: Sequence[float] = (),
-    width: int = 20,
-) -> str:
+def render_top(jobs: Sequence[dict[str, Any]], *, width: int = 20) -> str:
     """The ``repro obs top`` screen: one row per job, active first.
 
     ``jobs`` is a sequence of progress documents (the shape
-    ``/api/v1/jobs/<id>/progress`` serves). ``sparkline`` is an optional
-    recent series (e.g. ``scheduler.points_completed`` deltas) rendered
-    in the footer.
+    ``/api/v1/jobs/<id>/progress`` serves).
     """
     from repro.util import format_table
 
@@ -270,11 +178,8 @@ def render_top(
                 format_eta(doc.get("eta_s")),
             ]
         )
-    out = format_table(
+    return format_table(
         ["job", "state", "progress", "points", "%", "in-flight", "pt/s", "eta"],
         rows,
         title="active jobs" if rows else "no jobs",
     )
-    if len(sparkline) >= 2:
-        out += f"\npoints/s {render_sparkline(sparkline)}"
-    return out

@@ -9,11 +9,12 @@ byte-deterministic npz releases. Five pillars:
   schema; violations become structured 400 bodies;
 * :mod:`repro.service.jobs` — job lifecycle records, each the fold of
   the job's run ledger, replayed at boot for kill/restart resume;
-* :mod:`repro.service.scheduler` — a single dispatcher thread feeding
-  the existing :class:`~repro.experiments.Runner` via its
-  ``submit``/``poll`` seam, checkpointing every completed point into a
-  shared on-disk :class:`~repro.experiments.EvaluationCache` (duplicate
-  or overlapping submissions never re-simulate);
+* :mod:`repro.service.scheduler` — a single dispatcher thread that
+  runs each job's sweep itself through
+  :meth:`~repro.experiments.Runner.run_iter`, checkpointing every
+  completed point into a shared on-disk
+  :class:`~repro.experiments.EvaluationCache` (duplicate or overlapping
+  submissions never re-simulate);
 * :mod:`repro.service.results` — versioned result releases through the
   npz archive primitives shared with the trace/telemetry stores;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
@@ -24,7 +25,6 @@ The CLI exposes the server as ``repro serve``.
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.dashboard import DASHBOARD_HTML, render_dashboard
 from repro.service.jobs import JOB_STATES, JobRecord, sweep_hash
 from repro.service.results import (
     RESULTS_FORMAT,
@@ -51,7 +51,6 @@ from repro.service.server import (
 )
 
 __all__ = [
-    "DASHBOARD_HTML",
     "JOB_STATES",
     "REQUEST_VERSION",
     "RESULTS_FORMAT",
@@ -70,7 +69,6 @@ __all__ = [
     "ServiceError",
     "make_server",
     "parse_request",
-    "render_dashboard",
     "serve",
     "sweep_hash",
 ]

@@ -132,22 +132,6 @@ class ServiceClient:
                 f"cannot reach {self.base_url}: {exc.reason}"
             ) from exc
 
-    def history(
-        self, metric: str | None = None, *, window_s: float | None = None
-    ) -> dict[str, Any]:
-        """Sampled metrics history (summary, or one metric's series)."""
-        params = []
-        if metric:
-            params.append(f"metric={urllib.parse.quote(metric, safe='')}")
-        if window_s is not None:
-            params.append(f"window={window_s:g}")
-        suffix = "?" + "&".join(params) if params else ""
-        return self._json("GET", f"/metrics/history{suffix}")
-
-    def alerts(self) -> dict[str, Any]:
-        """SLO rule states plus the firing/resolved event history."""
-        return self._json("GET", "/alerts")
-
     def spans(self, job_id: str, *, deterministic: bool = False) -> dict[str, Any]:
         """Span-trace document captured while ``job_id`` executed."""
         suffix = "?deterministic=1" if deterministic else ""

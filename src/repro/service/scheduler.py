@@ -1,10 +1,10 @@
 """Single-dispatcher job scheduler wrapping the experiment engine.
 
 The service's execution core is deliberately *not* thread-per-request:
-one dispatcher thread drains a FIFO of submitted jobs and feeds each one
-to the existing :class:`repro.experiments.Runner` through its
-``submit``/``poll`` seam (the event-driven, single-writer shape — HTTP
-threads only enqueue and read). That gives three properties for free:
+one dispatcher thread drains a FIFO of submitted jobs and runs each one
+itself, iterating :meth:`repro.experiments.Runner.run_iter` (the
+event-driven, single-writer shape — HTTP threads only enqueue and read).
+That gives three properties for free:
 
 * **no duplicate work** — jobs run one at a time against one shared
   :class:`~repro.experiments.EvaluationCache`, so concurrent submissions
@@ -18,23 +18,17 @@ threads only enqueue and read). That gives three properties for free:
   event to its run ledger and folding that same event into the live
   :class:`~repro.service.jobs.JobRecord`; boot replays the ledgers into
   the same records, so nothing else about a job is ever written. Readers
-  take a snapshot under the registry lock.
+  take a snapshot under the registry lock. The records are also all
+  that progress documents, the scheduler's counters and the
+  ``progress.*`` gauges are computed from, so these agree with the
+  ledger by construction.
 
 Finished jobs publish their metrics as a versioned release in the
 byte-deterministic :class:`~repro.service.results.ResultStore`.
-
-The scheduler also hosts the telemetry pipeline: a
-:class:`~repro.obs.pipeline.MetricsSampler` snapshots the metrics
-registry every ``sample_interval`` seconds into a bounded
-:class:`~repro.obs.pipeline.SeriesStore` (persisted to
-``metrics-history.npz`` across restarts) and runs the attached
-:class:`~repro.obs.slo.SloEngine` rules once per tick — what
-``/api/v1/metrics/history`` and ``/api/v1/alerts`` serve.
 """
 
 from __future__ import annotations
 
-import math
 import pathlib
 import threading
 import time
@@ -48,15 +42,7 @@ from repro.obs.ledger import RunLedger, load_ledger, replay_ledger
 from repro.obs.logs import fields, get_logger
 from repro.obs.metrics import counter, gauge, histogram
 from repro.obs.profile import PhaseProfile
-from repro.obs.progress import ProgressTracker
-from repro.obs.pipeline import (
-    DEFAULT_CAPACITY,
-    MetricsSampler,
-    SeriesStore,
-    load_history_npz,
-    save_history_npz,
-)
-from repro.obs.slo import SloEngine, SloRule
+from repro.obs.progress import job_progress, live_progress
 from repro.obs.trace import (
     SpanRecord,
     adopt_parent,
@@ -72,13 +58,21 @@ __all__ = ["ExperimentScheduler", "JobNotFound", "JobNotDone"]
 
 _log = get_logger("service.scheduler")
 
-_SUBMITTED = counter("scheduler.jobs.submitted")
-_DONE = counter("scheduler.jobs.done")
-_FAILED = counter("scheduler.jobs.failed")
-_REQUEUED = counter("scheduler.jobs.requeued")
 _POINTS = counter("scheduler.points_completed")
+#: The counter each ledger event bumps as it is folded into its record.
+_EVENT_COUNTERS = {
+    "job.submitted": counter("scheduler.jobs.submitted"),
+    "job.requeued": counter("scheduler.jobs.requeued"),
+    "job.done": counter("scheduler.jobs.done"),
+    "job.failed": counter("scheduler.jobs.failed"),
+    "point.completed": _POINTS,
+    "point.cached": _POINTS,
+}
 _QUEUE_DEPTH = gauge("scheduler.queue_depth")
 _DISPATCH_MS = histogram("scheduler.dispatch_latency_ms")
+_IN_FLIGHT = gauge("progress.points_in_flight")
+_ACTIVE_JOBS = gauge("progress.active_jobs")
+_UTILIZATION = gauge("progress.worker_utilization")
 
 
 class JobNotFound(KeyError):
@@ -110,6 +104,7 @@ class ExperimentScheduler:
     ``"jobs"`` hint is clamped to it). ``auto_start=False`` leaves the
     dispatcher stopped — used by tests that stage a "killed mid-run"
     state and by :meth:`resume`-style inspection tooling.
+    ``poll_interval`` paces :meth:`wait`.
     """
 
     def __init__(
@@ -119,9 +114,6 @@ class ExperimentScheduler:
         jobs: int = 1,
         auto_start: bool = True,
         poll_interval: float = 0.02,
-        sample_interval: float = 1.0,
-        slo_rules: list[SloRule] | tuple[SloRule, ...] = (),
-        history_capacity: int = DEFAULT_CAPACITY,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -142,6 +134,7 @@ class ExperimentScheduler:
         self._spans_captured = threading.Condition(self._lock)
         self._executing: str | None = None
         self._records: dict[str, JobRecord] = {}
+        self._running: set[str] = set()  # ids of the running records
         self._scenarios: dict[str, list[Scenario]] = {}
         self._metrics: dict[str, list[dict[str, Any]]] = {}
         self._trace_rows: dict[tuple[str, int], list[dict[str, Any]]] = {}
@@ -153,24 +146,14 @@ class ExperimentScheduler:
         self._enqueued_at: dict[str, float] = {}
         self._job_spans: dict[str, list[SpanRecord]] = {}
         self._trace_parents: dict[str, str | None] = {}
-        # Sweep introspection: the durable per-job run ledger, the live
-        # progress tracker, and per-point profile captures (opt-in).
+        # Sweep introspection: the durable per-job run ledger and
+        # per-point profile captures (opt-in).
         self.ledger_dir = self.state_dir / "ledger"
         self._last_id = 0
-        self.tracker = ProgressTracker()
         self._profiles: dict[str, list[PhaseProfile | None]] = {}
         # The scheduler is the span producer for the whole service; one
         # trace per job is drained into _job_spans when the job finishes.
         enable_tracing()
-
-        # Telemetry pipeline: time-series history (warm-loaded across
-        # restarts) + SLO evaluation once per sampling tick.
-        self.history_path = self.state_dir / "metrics-history.npz"
-        self.series = self._load_history(history_capacity)
-        self.slo = SloEngine(slo_rules)
-        self.sampler = MetricsSampler(
-            self.series, interval_s=sample_interval, slo=self.slo
-        )
 
         self._replay_ledgers()
         _QUEUE_DEPTH.set(len(self._queue))
@@ -179,27 +162,8 @@ class ExperimentScheduler:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _load_history(self, capacity: int) -> SeriesStore:
-        """Warm-load the persisted metrics history (fresh store on any
-        problem — history is an enrichment, never a boot blocker)."""
-        if self.history_path.exists():
-            try:
-                store = load_history_npz(self.history_path, capacity=capacity)
-                _log.info(
-                    "metrics history loaded",
-                    extra=fields(frames=len(store), path=str(self.history_path)),
-                )
-                return store
-            except Exception as exc:
-                _log.warning(
-                    "metrics history unreadable; starting fresh",
-                    extra=fields(path=str(self.history_path), error=str(exc)),
-                )
-        return SeriesStore(capacity=capacity)
-
     def start(self) -> None:
-        """Start the dispatcher + sampler threads (idempotent)."""
-        self.sampler.start()
+        """Start the dispatcher thread (idempotent)."""
         if self._thread is not None and self._thread.is_alive():
             return
         self._stop.clear()
@@ -209,20 +173,13 @@ class ExperimentScheduler:
         self._thread.start()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop dispatching; an in-flight job parks as resumable state."""
+        """Stop dispatching; an in-flight job parks as resumable state
+        once its current work unit finishes."""
         self._stop.set()
         self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout)
             self._thread = None
-        self.sampler.stop()
-        try:
-            save_history_npz(self.series, self.history_path)
-        except Exception as exc:  # history persistence is best-effort
-            _log.warning(
-                "metrics history save failed",
-                extra=fields(path=str(self.history_path), error=str(exc)),
-            )
 
     def _replay_ledgers(self) -> None:
         """Rebuild every job from its ledger; requeue unfinished ones.
@@ -258,7 +215,6 @@ class ExperimentScheduler:
                     )
                 self._queue.append(record.job_id)
                 self._enqueued_at[record.job_id] = time.monotonic()
-                _REQUEUED.inc()
         legacy = self.state_dir / "jobs"
         if old or legacy.exists():
             _log.warning(
@@ -278,9 +234,33 @@ class ExperimentScheduler:
     ) -> None:
         """Change a job the one way there is: append the event to its
         ledger, then fold that same event into the live record."""
-        written = ledger.append(event, **data)
+        self._apply(record, ledger.append(event, **data))
+
+    def _apply(self, record: JobRecord, event: dict[str, Any]) -> None:
+        """Fold ``event`` into ``record``, count it, and re-derive the
+        progress gauges from the running records."""
         with self._lock:
-            record.apply(written)
+            record.apply(event)
+            if record.state == "running":
+                self._running.add(record.job_id)
+            else:
+                self._running.discard(record.job_id)
+            running = [self._records[j] for j in self._running]
+            in_flight = [r.in_flight for r in running]
+            workers = [self._workers(r) for r in running]
+            _ACTIVE_JOBS.set(len(running))
+            _IN_FLIGHT.set(sum(in_flight))
+            busy = sum(min(n, w) for n, w in zip(in_flight, workers))
+            _UTILIZATION.set(busy / sum(workers) if workers else 0.0)
+        count = _EVENT_COUNTERS.get(event["event"])
+        if count is not None:
+            count.inc()
+
+    def _workers(self, record: JobRecord) -> int:
+        """The runner's worker count for ``record``: the service's
+        ceiling, lowered by the request's own ``"jobs"`` hint."""
+        hint = record.request.get("jobs")
+        return max(1, min(hint, self.jobs) if isinstance(hint, int) else self.jobs)
 
     # -- submission & queries ------------------------------------------------
 
@@ -318,7 +298,6 @@ class ExperimentScheduler:
             self._enqueued_at[job_id] = time.monotonic()
             self._trace_parents[job_id] = trace_parent
             _QUEUE_DEPTH.set(len(self._queue))
-        _SUBMITTED.inc()
         _log.info(
             "job submitted",
             extra=fields(
@@ -455,62 +434,35 @@ class ExperimentScheduler:
 
         ``state`` filters to one lifecycle state (ValueError on unknown
         names — the HTTP layer maps it to a 400). Running jobs carry a
-        ``progress`` sub-document (throughput/ETA/in-flight) from the
-        tracker.
+        ``progress`` sub-document (throughput/ETA/in-flight) read off
+        their records.
         """
         if state is not None and state not in JOB_STATES:
             raise ValueError(
                 f"unknown state {state!r}; one of {', '.join(JOB_STATES)}"
             )
         docs = []
-        for record in self.audit():
-            if state is not None and record.state != state:
-                continue
-            doc = record.status_json()
-            snap = self.tracker.snapshot(record.job_id)
-            if snap is not None:
-                doc["progress"] = snap
-            docs.append(doc)
+        with self._lock:
+            now = time.time()
+            for record in sorted(self._records.values(), key=lambda r: r.job_id):
+                if state is not None and record.state != state:
+                    continue
+                doc = record.status_json()
+                if record.state == "running":
+                    doc["progress"] = live_progress(
+                        record, now=now, workers=self._workers(record)
+                    )
+                docs.append(doc)
         return docs
 
     def progress_json(self, job_id: str) -> dict[str, Any]:
-        """The ``/api/v1/jobs/<id>/progress`` document.
-
-        Counts come from the job record; while the job runs, the live
-        tracker adds in-flight/throughput/ETA/utilization. Terminal
-        jobs report an ETA of 0 (done) or None (failed) and their
-        realized overall throughput.
-        """
-        record = self.job(job_id)
-        done = record.points_done
-        n = record.n_points
-        doc: dict[str, Any] = {
-            "job_id": record.job_id,
-            "state": record.state,
-            "n_points": n,
-            "points_done": done,
-            "cache_hits": record.cache_hits,
-            "pct": round(100.0 * done / n, 2) if n else 0.0,
-            "resumed": record.resumed,
-        }
-        snap = self.tracker.snapshot(job_id)
-        if snap is not None:
-            doc.update(snap)
-        else:
-            doc.update(
-                completed=done - record.cache_hits,
-                cached=record.cache_hits,
-                failed=0,
-                in_flight=0,
-                eta_s=0.0 if record.state == "done" else None,
-                elapsed_s=record.duration_s,
-                throughput_pps=(
-                    round(n / record.duration_s, 6)
-                    if record.state == "done" and record.duration_s
-                    else None
-                ),
-            )
-        return doc
+        """The ``/api/v1/jobs/<id>/progress`` document, read off the job
+        record (:func:`repro.obs.progress.job_progress`)."""
+        with self._lock:
+            record = self._records.get(job_id)
+            if record is None:
+                raise JobNotFound(job_id)
+            return job_progress(record, now=time.time(), workers=self._workers(record))
 
     def profile_json(
         self, job_id: str, *, deterministic: bool = False
@@ -573,60 +525,15 @@ class ExperimentScheduler:
                 )
             return list(self._job_spans.get(job_id, []))
 
-    def alerts_json(self) -> dict[str, Any]:
-        """The ``/api/v1/alerts`` document (rule states + transitions)."""
-        return self.slo.to_json()
-
-    def history_json(
-        self, metric: str | None = None, window_s: float | None = None
-    ) -> dict[str, Any]:
-        """The ``/api/v1/metrics/history`` document.
-
-        Without ``metric``: a summary (frame count, time range, sampled
-        metric names). With one: the full per-metric series, plus
-        windowed delta/rate for counters and p50/p99 for histograms.
-        Raises ValueError for metrics the sampler has never seen.
-        """
-        store = self.series
-
-        def _num(x: float) -> float | None:
-            return None if math.isnan(x) else round(x, 6)
-
-        if metric is None:
-            frames = store.frames()
-            return {
-                "n_frames": len(frames),
-                "capacity": store.capacity,
-                "interval_s": self.sampler.interval_s,
-                "start_t": round(frames[0].t, 6) if frames else None,
-                "end_t": round(frames[-1].t, 6) if frames else None,
-                "metrics": store.metric_names(),
-            }
-        kind = store.kind(metric)
-        if kind is None:
-            raise ValueError(f"no sampled metric named {metric!r}")
-        doc: dict[str, Any] = {"metric": metric, "kind": kind}
-        if kind == "histogram":
-            pts = store.hist_series(metric)
-        else:
-            pts = store.series(metric)
-        if window_s is not None and pts:
-            cutoff = pts[-1][0] - window_s
-            pts = [p for p in pts if p[0] >= cutoff]
-        doc["points"] = [[round(t, 6), v] for t, v in pts]
-        if kind == "counter":
-            doc["delta"] = _num(store.delta(metric, window_s))
-            doc["rate"] = _num(store.rate(metric, window_s))
-        elif kind == "histogram":
-            doc["p50"] = _num(store.percentile(metric, 0.5))
-            doc["p99"] = _num(store.percentile(metric, 0.99))
-        return doc
-
     # -- dispatcher ----------------------------------------------------------
 
     def _snapshot(self, record: JobRecord) -> JobRecord:
         with self._lock:
-            return replace(record, point_states=dict(record.point_states))
+            return replace(
+                record,
+                point_states=dict(record.point_states),
+                completion_ts=list(record.completion_ts),
+            )
 
     def _execute(self, job_id: str) -> None:
         """Run one job inside a ``service.job`` span; capture its trace.
@@ -655,7 +562,6 @@ class ExperimentScheduler:
             self._fail(record, exc, round(time.perf_counter() - started, 6))
         finally:
             adopt_parent(None)
-            self.tracker.job_finished(job_id)
         with self._lock:
             self._job_spans[job_id] = take_spans()
             self._executing = None
@@ -686,9 +592,7 @@ class ExperimentScheduler:
                 "job failure not written to its ledger",
                 extra=fields(job=record.job_id),
             )
-        with self._lock:
-            record.apply(event)
-        _FAILED.inc()
+        self._apply(record, event)
 
     def _execute_inner(
         self, ledger: RunLedger, record: JobRecord, started: float
@@ -700,51 +604,37 @@ class ExperimentScheduler:
             extra=fields(job=job_id, state="running", points=record.n_points),
         )
         scenarios = self.scenarios(job_id)
-        hint = record.request.get("jobs")
-        runner_jobs = min(hint, self.jobs) if isinstance(hint, int) else self.jobs
-        runner_jobs = max(1, runner_jobs)
-        want_profile = bool(record.request.get("profile"))
-        tracker = self.tracker
+        workers = self._workers(record)
 
         def observe(event: dict[str, Any]) -> None:
-            # Runner lifecycle events land in the durable ledger, the job
-            # record and the live progress tracker; all on the sweep drive
-            # thread.
+            # Runner lifecycle events land in the ledger and the record.
             ev = dict(event)
-            name = ev.pop("event")
-            self._append(ledger, record, name, **ev)
-            tracker.observe(job_id, name, ev)
+            self._append(ledger, record, ev.pop("event"), **ev)
 
         runner = Runner(
-            jobs=runner_jobs,
+            jobs=workers,
             cache=self.cache,
             observer=observe,
-            profile=want_profile,
+            profile=bool(record.request.get("profile")),
         )
-        metrics = self._metrics.setdefault(job_id, [])
-        metrics.clear()
-        profiles = self._profiles.setdefault(job_id, [])
-        profiles.clear()
-        tracker.job_started(
-            job_id, n_points=record.n_points, workers=runner_jobs
-        )
-        handle = runner.submit(scenarios)
-        while True:
-            fresh = handle.poll()
-            if fresh:
+        metrics: list[dict[str, Any]] = []
+        profiles: list[PhaseProfile | None] = []
+        with self._lock:
+            self._metrics[job_id] = metrics
+            self._profiles[job_id] = profiles
+        checkpointed = len(self.cache)
+        with span("runner.sweep", points=len(scenarios), jobs=workers):
+            for res in runner.run_iter(scenarios):
                 with self._lock:
-                    for res in fresh:
-                        metrics.append(res.metrics)
-                        profiles.append(res.profile)
-                _POINTS.inc(len(fresh))
-                # Checkpoint: completed points survive a kill -9.
-                self.cache.flush(self.cache_path)
-                continue
-            if handle.done:
-                break
-            if self._stop.is_set():
-                handle.cancel()
-            handle.wait(self._poll_interval)
+                    metrics.append(res.metrics)
+                    profiles.append(res.profile)
+                if len(self.cache) > checkpointed:
+                    # Checkpoint: completed points survive a kill -9. A
+                    # unit caches all its points before yielding the
+                    # first, so this flushes once per unit.
+                    checkpointed = self.cache.flush(self.cache_path)
+                if self._stop.is_set():
+                    break  # after this unit: the job parks below
         if len(metrics) < record.n_points:
             # Interrupted by stop(): the record stays 'running' on disk so
             # the next boot requeues it from the checkpointed cache.
@@ -774,7 +664,6 @@ class ExperimentScheduler:
             duration_s=round(time.perf_counter() - started, 6),
             release=release.release_id,
         )
-        _DONE.inc()
         _log.info(
             "job state change",
             extra=fields(
@@ -792,7 +681,9 @@ class ExperimentScheduler:
                 job_id = self._queue.popleft() if self._queue else None
                 _QUEUE_DEPTH.set(len(self._queue))
             if job_id is None:
-                self._wake.wait(self._poll_interval)
+                # submit() and stop() set the event after changing what
+                # this loop reads, and it is cleared before the re-read.
+                self._wake.wait()
                 self._wake.clear()
                 continue
             self._execute(job_id)

@@ -17,17 +17,13 @@ GET      ``/jobs/<id>/result.npz``       byte-deterministic npz release export
 GET      ``/jobs/<id>/trace?point=N``    NDJSON per-window telemetry/control
 GET      ``/jobs/<id>/spans``            span trace captured while the job ran
 GET      ``/metrics``                    process metrics registry snapshot
-GET      ``/metrics/history``            sampled time-series (``?metric=&window=``)
-GET      ``/alerts``                     SLO rule states + firing/resolved events
 GET      ``/health``                     liveness + uptime/queue/cache gauges
 =======  ==============================  =======================================
 
-Two routes live *outside* the prefix: ``GET /metrics`` at the server
+One route lives *outside* the prefix: ``GET /metrics`` at the server
 root serves the registry in Prometheus text exposition format (0.0.4)
-for standard scrapers — the JSON form stays at ``/api/v1/metrics`` —
-and ``GET /dashboard`` serves a self-contained zero-dependency HTML
-dashboard (jobs table, progress bars, points-per-interval sparkline)
-built on the JSON API.
+for standard scrapers — the JSON form stays at ``/api/v1/metrics``.
+Metric history, rates and alert rules belong to the scraper.
 
 A submit request may carry a ``traceparent`` header (W3C-style,
 ``00-<span id>-01``); the job's ``service.job`` span adopts that id as
@@ -63,7 +59,6 @@ from repro.obs.metrics import counter, histogram
 from repro.obs.metrics import snapshot as metrics_snapshot
 from repro.obs.promexp import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.promexp import render_prometheus
-from repro.obs.slo import SloRule
 from repro.obs.trace import TRACEPARENT_HEADER, export_trace, parse_traceparent
 from repro.service.scheduler import (
     ExperimentScheduler,
@@ -173,14 +168,6 @@ class ExperimentApi:
                 body=render_prometheus(metrics_snapshot()).encode("utf-8"),
                 content_type=PROM_CONTENT_TYPE,
             )
-        if path == "/dashboard" and method == "GET":
-            from repro.service.dashboard import render_dashboard
-
-            return ApiResponse(
-                200,
-                body=render_dashboard().encode("utf-8"),
-                content_type="text/html; charset=utf-8",
-            )
         if not path.startswith(API_PREFIX):
             return ApiResponse.error(
                 404, "not_found", f"unknown path {path!r} (try {API_PREFIX}/health)"
@@ -232,15 +219,6 @@ class ExperimentApi:
                     "cache": self.scheduler.cache_stats(),
                 },
             )
-        if route == "/metrics/history":
-            metric = query.get("metric", [None])[-1]
-            window = query.get("window", [""])[-1]
-            window_s = float(window) if window else None
-            return ApiResponse.json(
-                200, self.scheduler.history_json(metric, window_s)
-            )
-        if route == "/alerts":
-            return ApiResponse.json(200, self.scheduler.alerts_json())
         if route == "/jobs":
             if method == "POST":
                 return self._submit(body, headers)
@@ -477,17 +455,9 @@ def make_server(
     state_dir: str | pathlib.Path,
     *,
     jobs: int = 1,
-    sample_interval: float = 1.0,
-    slo_rules: list[SloRule] | tuple[SloRule, ...] = (),
 ) -> ExperimentServer:
     """Build a ready-to-serve server (port 0 picks a free port)."""
-    scheduler = ExperimentScheduler(
-        state_dir,
-        jobs=jobs,
-        sample_interval=sample_interval,
-        slo_rules=slo_rules,
-    )
-    return ExperimentServer((host, port), scheduler)
+    return ExperimentServer((host, port), ExperimentScheduler(state_dir, jobs=jobs))
 
 
 def serve(
@@ -498,28 +468,20 @@ def serve(
     jobs: int = 1,
     log_level: str = "info",
     log_json: bool = False,
-    sample_interval: float = 1.0,
-    slo_rules: list[SloRule] | tuple[SloRule, ...] = (),
     ready: threading.Event | None = None,
 ) -> int:
     """Run the service until interrupted; returns a process exit code."""
     setup_logging(log_level, json_mode=log_json)
-    server = make_server(
-        host,
-        port,
-        state_dir,
-        jobs=jobs,
-        sample_interval=sample_interval,
-        slo_rules=slo_rules,
-    )
+    server = make_server(host, port, state_dir, jobs=jobs)
+
     def _raise_interrupt(signum: int, frame: Any) -> None:
         raise KeyboardInterrupt
 
     try:
         # Supervisors stop services with SIGTERM: fold it into the
-        # KeyboardInterrupt path so the scheduler still saves the
-        # metrics history and job records on the way down. Only the
-        # main thread may install handlers; embedded callers (tests
+        # KeyboardInterrupt path so the scheduler still stops cleanly,
+        # parking a running job in its ledger for the next boot. Only
+        # the main thread may install handlers; embedded callers (tests
         # running serve() in a thread) keep their own signal setup.
         signal.signal(signal.SIGTERM, _raise_interrupt)
     except ValueError:

@@ -12,42 +12,34 @@ Pins the observability acceptance criteria:
 * the live service exposes ``/api/v1/metrics`` and per-job span traces
   over a real socket, and ``repro obs metrics`` / ``repro obs trace``
   read them;
-* the telemetry pipeline operates over that socket — the root
-  ``/metrics`` scrape parses as Prometheus text, ``/api/v1/metrics/
-  history`` serves sampled series, an SLO rule transitions
-  firing -> resolved into both the structured log stream and
-  ``/api/v1/alerts``, and a CLI submit against a subprocess server
-  exports ONE deterministic joined trace with the client's span as
-  ancestor of ``service.job``.
+* the metrics exposition works over that socket — the root
+  ``/metrics`` scrape parses as Prometheus text, ``repro obs metrics``
+  renders it (``--prom``/``--watch``), and a CLI submit against a
+  subprocess server exports ONE deterministic joined trace with the
+  client's span as ancestor of ``service.job``.
 """
 
-import io
 import json
-import logging
 import os
 import pathlib
 import re
 import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
 from repro.experiments import Runner, scenario_family
 from repro.obs import (
-    SloRule,
     clear_spans,
     enable_tracing,
     export_trace,
     profile_simulation,
-    setup_logging,
     span,
     take_spans,
     tracing_enabled,
 )
-from repro.obs.metrics import gauge
-from repro.service import ServiceClient, ServiceError, make_server
+from repro.service import ServiceClient, make_server
 
 QUICK = {"rates": [0.04, 0.08], "cycles": 300}
 
@@ -231,7 +223,7 @@ class TestHttpObservability:
         assert "not_found" in capsys.readouterr().err
 
 
-# -- telemetry pipeline over a live socket -----------------------------------
+# -- metrics exposition over a live socket -----------------------------------
 
 # Minimal Prometheus text-format (0.0.4) line grammar; the exhaustive
 # validator lives in tests/unit/test_obs_pipeline.py.
@@ -240,44 +232,6 @@ _PROM_LINE = re.compile(
     rf"^(# TYPE {_PROM_NAME} (counter|gauge|histogram)"
     rf'|{_PROM_NAME}(\{{[^{{}}]*\}})? (NaN|[+-]Inf|[+-]?[0-9][^ ]*))$'
 )
-
-
-def _wait_until(predicate, *, timeout=20.0, poll=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll)
-    return False
-
-
-@pytest.fixture
-def live_slo(tmp_path):
-    """Fast-sampling server with one SLO rule on a test-owned gauge."""
-    depth = gauge("test.slo.depth")
-    depth.set(0.0)
-    rules = [
-        SloRule(
-            name="depth-high", metric="test.slo.depth", threshold=5.0, op=">"
-        )
-    ]
-    server = make_server(
-        "127.0.0.1",
-        0,
-        tmp_path / "state",
-        sample_interval=0.05,
-        slo_rules=rules,
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    try:
-        yield ServiceClient(f"http://{host}:{port}"), depth
-    finally:
-        depth.set(0.0)
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
 
 class TestTelemetryPipelineHttp:
@@ -291,69 +245,10 @@ class TestTelemetryPipelineHttp:
         assert "# TYPE repro_http_requests_total counter" in text
         assert "repro_scheduler_queue_depth" in text
 
-    def test_history_summary_series_and_errors(self, live_slo):
-        client, _ = live_slo
-        assert _wait_until(lambda: client.history()["n_frames"] >= 3)
-
-        summary = client.history()
-        assert summary["interval_s"] == 0.05
-        assert summary["end_t"] >= summary["start_t"]
-        assert "scheduler.queue_depth" in summary["metrics"]["gauges"]
-        assert "obs.sampler.ticks" in summary["metrics"]["counters"]
-
-        series = client.history("obs.sampler.ticks", window_s=60.0)
-        assert series["kind"] == "counter"
-        assert len(series["points"]) >= 3
-        ts = [t for t, _ in series["points"]]
-        assert ts == sorted(ts)
-        assert series["delta"] >= 2  # the sampler kept ticking
-        assert series["rate"] > 0
-
-        with pytest.raises(ServiceError) as err:
-            client.history("no.such.metric")
-        assert err.value.status == 400
-
-    def test_slo_fires_and_resolves_into_log_and_api(self, live_slo):
-        client, depth = live_slo
-        stream = io.StringIO()
-        setup_logging("info", json_mode=True, stream=stream)
-        try:
-            assert client.alerts()["firing"] == []
-
-            depth.set(9.0)
-            assert _wait_until(
-                lambda: client.alerts()["firing"] == ["depth-high"]
-            )
-            [rule] = client.alerts()["rules"]
-            assert rule["state"] == "firing"
-            assert rule["value"] == 9.0
-
-            depth.set(0.0)
-            assert _wait_until(lambda: client.alerts()["firing"] == [])
-        finally:
-            logging.getLogger("repro").handlers.clear()
-
-        states = [
-            e["state"]
-            for e in client.alerts()["events"]
-            if e["rule"] == "depth-high"
-        ]
-        assert states[:2] == ["firing", "resolved"]
-
-        logged = [
-            json.loads(line)
-            for line in stream.getvalue().splitlines()
-            if '"repro.obs.slo"' in line
-        ]
-        assert [d["state"] for d in logged][:2] == ["firing", "resolved"]
-        assert logged[0]["level"] == "warning"
-        assert logged[0]["rule"] == "depth-high"
-        assert logged[1]["level"] == "info"
-
-    def test_cli_pipeline_commands(self, live_slo, capsys):
+    def test_cli_pipeline_commands(self, live, capsys):
         from repro.cli import main
 
-        client, depth = live_slo
+        client, _ = live
         url = ["--url", client.base_url]
 
         # --prom shares the exposition formatter with the root scrape.
@@ -381,21 +276,6 @@ class TestTelemetryPipelineHttp:
         capsys.readouterr()
         assert main(["obs", "metrics", *url, "--watch", "0"]) == 2
         capsys.readouterr()
-
-        # `obs slo` exit code distinguishes quiet (0) from firing (1).
-        assert main(["obs", "slo", *url]) == 0
-        out = capsys.readouterr().out
-        assert "depth-high" in out and "ok" in out
-
-        depth.set(9.0)
-        assert _wait_until(
-            lambda: client.alerts()["firing"] == ["depth-high"]
-        )
-        assert main(["obs", "slo", *url]) == 1
-        assert "firing" in capsys.readouterr().out
-        assert main(["obs", "slo", *url, "--json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["firing"] == ["depth-high"]
 
 
 # -- cross-process trace propagation (subprocess server) ---------------------

@@ -12,16 +12,15 @@ The PR's acceptance criteria, pinned against real HTTP:
   a sweep runs, converging on ``done == n_points``;
 * the aggregated sweep profile of a ``jobs=2`` run equals the merge of
   its per-point profiles, independent of merge order;
-* the ``?state=`` audit filter, the ``/dashboard`` route, and the CLI's
-  ``status --watch`` / ``obs top`` / ``jobs --state`` /
-  ``obs profile --job`` faces all work against a live server.
+* the ``?state=`` audit filter and the CLI's ``status --watch`` /
+  ``obs top`` / ``jobs --state`` / ``obs profile --job`` faces all work
+  against a live server.
 """
 
 import json
 import random
 import threading
 import time
-import urllib.request
 
 import pytest
 
@@ -250,16 +249,6 @@ class TestProgressLive:
             client.jobs(state="bogus")
         assert err.value.status == 400
         assert err.value.code == "invalid"
-
-    def test_dashboard_is_served_at_root(self, live):
-        client, _ = live
-        with urllib.request.urlopen(f"{client.base_url}/dashboard") as resp:
-            assert resp.status == 200
-            assert resp.headers["Content-Type"].startswith("text/html")
-            html = resp.read().decode("utf-8")
-        assert "<!doctype html>" in html.lower()
-        assert 'const API = "/api/v1"' in html
-        assert "metrics/history" in html and "/jobs" in html
 
 
 class TestProfileAggregation:

@@ -253,6 +253,16 @@ class TestRunner:
         # Only the consumed point has been evaluated so far.
         assert len(runner.cache) == 1
 
+    def test_submit_is_deprecated_and_matches_run(self):
+        scenarios = small_grid()[:3]
+        with pytest.warns(DeprecationWarning, match="run_iter"):
+            handle = Runner(jobs=1).submit(scenarios)
+        results = handle.results(timeout=120)
+        assert [r.metrics for r in results] == [
+            r.metrics for r in Runner(jobs=1).run(scenarios)
+        ]
+        assert [r.scenario for r in results] == scenarios
+
     def test_map_serial_matches_parallel(self):
         items = list(range(6))
         assert Runner(jobs=1).map(_double, items) == [2 * i for i in items]

@@ -1,11 +1,12 @@
 """Unit tests for sweep introspection: ledger, progress, aggregation.
 
 The run ledger's crash-safety contract (line-atomic appends, torn-tail
-truncation, replayability, deterministic export), the progress tracker's
-counter/throughput/ETA math under an injected clock, the sweep-profile
-merge's order independence, and the client's decorrelated-jitter wait
-backoff — all exercised without a running service; the end-to-end
-kill+resume replay check lives in tests/integration/test_service_http.py.
+truncation, replayability, deterministic export), the progress
+counter/throughput/ETA math read off the ledger fold with explicit event
+times, the sweep-profile merge's order independence, and the client's
+decorrelated-jitter wait backoff — all exercised without a running
+service; the end-to-end kill+resume replay check lives in
+tests/integration/test_service_http.py.
 """
 
 import json
@@ -14,21 +15,21 @@ import pytest
 
 from repro.obs import (
     LEDGER_FORMAT,
-    ProgressTracker,
     RunLedger,
     SweepProfile,
     export_ledger,
     format_eta,
+    job_progress,
     load_ledger,
     merge_profiles,
     render_bar,
     render_progress_line,
-    render_sparkline,
     render_sweep_profile,
     render_top,
     replay_ledger,
 )
 from repro.obs.profile import PhaseProfile
+from repro.obs.progress import live_progress
 
 # -- ledger: append / load / torn tail ---------------------------------------
 
@@ -287,87 +288,94 @@ class TestExport:
         ]
 
 
-# -- progress tracker ---------------------------------------------------------
+# -- progress: read off the ledger fold ---------------------------------------
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
+def _running(n_points, *events, t0=100.0):
+    """The record of a job running since ``t0``, with ``events`` folded."""
+    return replay_ledger(
+        [
+            {"event": "job.submitted", "job": "j", "n_points": n_points, "t": t0},
+            {"event": "job.running", "t": t0},
+            *events,
+        ]
+    )
 
-    def __call__(self):
-        return self.now
+
+def _point(stage, point, t):
+    return {"event": f"point.{stage}", "point": point, "t": t}
 
 
-class TestProgressTracker:
-    @pytest.fixture
-    def clock(self):
-        return FakeClock()
+class TestProgressFold:
+    def _live(self, record, now, workers=1):
+        return live_progress(record, now=now, workers=workers, window_s=10.0)
 
-    @pytest.fixture
-    def tracker(self, clock):
-        return ProgressTracker(window_s=10.0, clock=clock)
+    def test_counts_and_in_flight(self):
+        rec = _running(4, _point("dispatched", 0, 100.0), _point("dispatched", 1, 100.0))
+        live = self._live(rec, 100.5, workers=2)
+        assert live["in_flight"] == 2
+        assert live["completed"] == live["cached"] == live["failed"] == 0
+        assert live["utilization"] == 1.0  # 2 in flight / 2 workers
+        rec.apply(_point("completed", 0, 101.0))
+        rec.apply(_point("cached", 1, 101.0))
+        live = self._live(rec, 101.0, workers=2)
+        assert live["completed"] == 1
+        assert live["cached"] == 1
+        assert live["in_flight"] == 0
 
-    def test_counts_and_in_flight(self, tracker, clock):
-        tracker.job_started("j", n_points=4, workers=2)
-        tracker.observe("j", "point.dispatched", {"point": 0})
-        tracker.observe("j", "point.dispatched", {"point": 1})
-        snap = tracker.snapshot("j")
-        assert snap["in_flight"] == 2
-        assert snap["completed"] == snap["cached"] == snap["failed"] == 0
-        assert snap["utilization"] == 1.0  # 2 in flight / 2 workers
-        clock.now += 1.0
-        tracker.observe("j", "point.completed", {"point": 0})
-        tracker.observe("j", "point.cached", {"point": 1})
-        snap = tracker.snapshot("j")
-        assert snap["completed"] == 1
-        assert snap["cached"] == 1
-        assert snap["in_flight"] == 0
-
-    def test_throughput_and_eta_are_rate_based(self, tracker, clock):
-        tracker.job_started("j", n_points=10, workers=1)
-        for i in range(4):
-            clock.now += 1.0
-            tracker.observe("j", "point.completed", {"point": i})
-        snap = tracker.snapshot("j")
+    def test_throughput_and_eta_are_rate_based(self):
+        rec = _running(10, *(_point("completed", i, 101.0 + i) for i in range(4)))
+        live = self._live(rec, 104.0)
         # 4 points in 4 elapsed seconds (window covers all of them).
-        assert snap["throughput_pps"] == pytest.approx(1.0)
-        assert snap["eta_s"] == pytest.approx(6.0)
+        assert live["throughput_pps"] == pytest.approx(1.0)
+        assert live["eta_s"] == pytest.approx(6.0)
 
-    def test_eta_is_none_before_first_completion(self, tracker):
-        tracker.job_started("j", n_points=5)
-        tracker.observe("j", "point.dispatched", {"point": 0})
-        snap = tracker.snapshot("j")
-        assert snap["throughput_pps"] == 0.0
-        assert snap["eta_s"] is None
+    def test_eta_is_none_before_first_completion(self):
+        rec = _running(5, _point("dispatched", 0, 100.0))
+        live = self._live(rec, 103.0)
+        assert live["throughput_pps"] == 0.0
+        assert live["eta_s"] is None
 
-    def test_stale_completions_age_out_of_the_window(self, tracker, clock):
-        tracker.job_started("j", n_points=10)
-        tracker.observe("j", "point.completed", {"point": 0})
-        clock.now += 60.0  # way past window_s=10
-        snap = tracker.snapshot("j")
-        assert snap["throughput_pps"] == 0.0
-        assert snap["eta_s"] is None
+    def test_stale_completions_age_out_of_the_window(self):
+        rec = _running(10, _point("completed", 0, 100.0))
+        live = self._live(rec, 160.0)  # way past window_s=10
+        assert live["throughput_pps"] == 0.0
+        assert live["eta_s"] is None
 
-    def test_failed_points_reduce_remaining(self, tracker, clock):
-        tracker.job_started("j", n_points=3)
-        clock.now += 1.0
-        tracker.observe("j", "point.completed", {"point": 0})
-        tracker.observe("j", "point.failed", {"point": 1})
-        snap = tracker.snapshot("j")
-        assert snap["failed"] == 1
+    def test_failed_points_reduce_remaining(self):
+        rec = _running(3, _point("completed", 0, 101.0), _point("failed", 1, 101.0))
+        live = self._live(rec, 101.0)
+        assert live["failed"] == 1
         # remaining = 3 - 1 done - 1 failed = 1 point at 1 pt/s.
-        assert snap["eta_s"] == pytest.approx(1.0)
+        assert live["eta_s"] == pytest.approx(1.0)
 
-    def test_job_finished_clears_state(self, tracker):
-        tracker.job_started("j", n_points=1)
-        assert tracker.active_jobs() == ["j"]
-        tracker.job_finished("j")
-        assert tracker.active_jobs() == []
-        assert tracker.snapshot("j") is None
+    def test_requeue_resets_the_window(self):
+        rec = _running(
+            2,
+            _point("completed", 0, 101.0),
+            {"event": "job.interrupted", "t": 101.5},
+            {"event": "job.requeued", "resumed": 1, "t": 200.0},
+        )
+        assert (rec.running_t, rec.completion_ts) == (None, [])
+        rec.apply({"event": "job.running", "t": 200.0})
+        live = self._live(rec, 200.5)
+        # The pre-restart completion no longer counts towards the rate.
+        assert live["throughput_pps"] == 0.0
+        assert live["eta_s"] is None
+        assert live["elapsed_s"] == 0.5
 
-    def test_events_for_unknown_jobs_are_ignored(self, tracker):
-        tracker.observe("ghost", "point.completed", {"point": 0})
-        assert tracker.snapshot("ghost") is None
+    def test_finished_jobs_report_final_counts(self):
+        failed = _running(2, _point("failed", 0, 101.0), _point("failed", 1, 101.0))
+        failed.apply({"event": "job.failed", "error": "boom", "t": 101.0})
+        doc = job_progress(failed, now=500.0, workers=1)
+        assert (doc["completed"], doc["cached"], doc["failed"]) == (0, 0, 2)
+        assert (doc["in_flight"], doc["eta_s"], doc["throughput_pps"]) == (0, None, None)
+        done = _running(2, _point("completed", 0, 101.0), _point("cached", 1, 101.0))
+        done.apply({"event": "job.done", "duration_s": 4.0, "t": 104.0})
+        doc = job_progress(done, now=500.0, workers=1)
+        assert (doc["completed"], doc["cached"], doc["failed"]) == (1, 1, 0)
+        assert (doc["eta_s"], doc["elapsed_s"], doc["throughput_pps"]) == (0.0, 4.0, 0.5)
+        assert "workers" not in doc
 
 
 # -- rendering helpers --------------------------------------------------------
@@ -385,13 +393,6 @@ class TestRendering:
         assert format_eta(42) == "42s"
         assert format_eta(185) == "3m05s"
         assert format_eta(4320) == "1h12m"
-
-    def test_render_sparkline(self):
-        assert render_sparkline([]) == ""
-        flat = render_sparkline([3, 3, 3])
-        assert len(flat) == 3 and len(set(flat)) == 1
-        ramp = render_sparkline([0, 1, 2, 3])
-        assert ramp[0] < ramp[-1]
 
     def test_render_progress_line(self):
         line = render_progress_line(
@@ -419,12 +420,10 @@ class TestRendering:
                  "points_done": 1, "in_flight": 2, "throughput_pps": 0.5,
                  "eta_s": 6.0},
             ],
-            sparkline=[1, 2, 3],
         )
         rows = [l for l in screen.splitlines() if "job-" in l]
         assert "job-1" in rows[0] and "running" in rows[0]
         assert "job-2" in rows[1]
-        assert "points/s" in screen
 
 
 # -- sweep profile aggregation ------------------------------------------------

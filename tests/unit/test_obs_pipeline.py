@@ -1,48 +1,30 @@
-"""Unit tests for the telemetry pipeline: series, exposition, SLO, quantiles.
+"""Unit tests for the metrics exposition: quantiles, Prometheus text, traceparent.
 
-Pins the PR's operational contracts:
+Pins the contracts a scraper of ``/metrics`` relies on:
 
 * **histogram percentiles** interpolate monotonically, return the
   observed maximum for ranks landing in the ``+inf`` tail, and agree
   between the live object and its JSON snapshot form;
-* **the series store** derives windowed counter deltas/rates from
-  positive increments only (a registry reset mid-window never reads as
-  a negative rate) and round-trips through the shared npz primitives
-  byte-deterministically;
 * **Prometheus exposition** renders every family inside the text-format
   grammar with cumulative buckets, deterministic ordering, and
   collision-safe name sanitization;
-* **the SLO engine** transitions ok -> firing after ``for_ticks``
-  consecutive breaches, resolves on the first clean tick, never
-  breaches on NaN, and loads rule files loudly.
+* **traceparent headers** round-trip a span id and reject malformed
+  values.
 """
 
-import io
-import json
-import logging
 import math
 import re
 
 import pytest
 
 from repro.obs import (
-    MetricsFrame,
     MetricsRegistry,
-    MetricsSampler,
-    SeriesStore,
-    SloEngine,
-    SloRule,
     format_traceparent,
-    load_history_npz,
-    load_slo_rules,
     parse_traceparent,
     percentile_from_snapshot,
     render_prometheus,
     sanitize_metric_name,
-    save_history_npz,
-    setup_logging,
 )
-from repro.obs.slo import AlertEvent
 
 # -- Prometheus text-format validator (shared with the CI smoke step) --------
 
@@ -129,171 +111,6 @@ class TestHistogramPercentile:
         assert math.isnan(percentile_from_snapshot(doc, 0.5))
 
 
-# -- series store ------------------------------------------------------------
-
-
-def _frame(t, counters=None, gauges=None, histograms=None):
-    return MetricsFrame(
-        t=t,
-        counters=counters or {},
-        gauges=gauges or {},
-        histograms=histograms or {},
-    )
-
-
-class TestSeriesStore:
-    def test_rejects_decreasing_timestamps(self):
-        store = SeriesStore()
-        store.append(_frame(10.0))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            store.append(_frame(9.0))
-
-    def test_capacity_evicts_oldest(self):
-        store = SeriesStore(capacity=3)
-        for t in range(5):
-            store.append(_frame(float(t), counters={"c": t}))
-        assert len(store) == 3
-        assert [t for t, _ in store.series("c")] == [2.0, 3.0, 4.0]
-
-    def test_series_skips_frames_before_metric_existed(self):
-        store = SeriesStore()
-        store.append(_frame(1.0))
-        store.append(_frame(2.0, gauges={"g": 5.0}))
-        assert store.series("g") == [(2.0, 5.0)]
-
-    def test_delta_sums_positive_increments_across_reset(self):
-        store = SeriesStore()
-        for t, v in [(0.0, 10), (1.0, 17), (2.0, 2), (3.0, 5)]:
-            store.append(_frame(t, counters={"c": v}))
-        # 10->17 (+7), 17->2 (reset, ignored), 2->5 (+3).
-        assert store.delta("c") == 10.0
-        assert store.rate("c") == pytest.approx(10.0 / 3.0)
-
-    def test_windowed_delta_only_sees_trailing_frames(self):
-        store = SeriesStore()
-        for t, v in [(0.0, 0), (10.0, 100), (11.0, 110), (12.0, 130)]:
-            store.append(_frame(t, counters={"c": v}))
-        assert store.delta("c", window_s=2.0) == 30.0
-
-    def test_undersampled_is_nan(self):
-        store = SeriesStore()
-        assert math.isnan(store.delta("c"))
-        store.append(_frame(1.0, counters={"c": 4}))
-        assert math.isnan(store.delta("c"))
-        assert math.isnan(store.rate("c"))
-        assert math.isnan(store.percentile("h", 0.5))
-
-    def test_kind_and_names(self):
-        store = SeriesStore()
-        store.append(
-            _frame(
-                1.0,
-                counters={"c": 1},
-                gauges={"g": 2.0},
-                histograms={"h": {"count": 0, "sum": 0.0, "min": None, "max": None, "buckets": {"1": 0, "+inf": 0}}},
-            )
-        )
-        assert store.kind("c") == "counter"
-        assert store.kind("g") == "gauge"
-        assert store.kind("h") == "histogram"
-        assert store.kind("nope") is None
-        assert store.metric_names() == {
-            "counters": ["c"],
-            "gauges": ["g"],
-            "histograms": ["h"],
-        }
-
-
-class TestSampler:
-    def test_tick_snapshots_registry_and_runs_slo(self):
-        reg = MetricsRegistry()
-        reg.counter("jobs").inc(3)
-        store = SeriesStore()
-        engine = SloEngine(
-            [SloRule(name="jobs-high", metric="jobs", threshold=2.0)]
-        )
-        sampler = MetricsSampler(store, registry=reg, slo=engine)
-        sampler.tick(now=100.0)
-        assert store.series("jobs") == [(100.0, 3.0)]
-        assert engine.firing() == ["jobs-high"]
-
-    def test_background_thread_samples(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth").set(1.0)
-        store = SeriesStore()
-        sampler = MetricsSampler(store, registry=reg, interval_s=0.01)
-        sampler.start()
-        sampler.start()  # idempotent
-        deadline = 100
-        while len(store) < 2 and deadline:
-            import time
-
-            time.sleep(0.01)
-            deadline -= 1
-        sampler.stop()
-        assert len(store) >= 2
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="interval_s"):
-            MetricsSampler(SeriesStore(), interval_s=0.0)
-
-
-class TestHistoryNpz:
-    def _store(self):
-        reg = MetricsRegistry()
-        c = reg.counter("reqs")
-        g = reg.gauge("depth")
-        h = reg.histogram("lat", bounds=(1.0, 10.0))
-        store = SeriesStore(capacity=8)
-        sampler = MetricsSampler(store, registry=reg)
-        sampler.tick(now=100.0)  # before h has data, after c/g exist
-        c.inc(5)
-        g.set(2.5)
-        h.observe(0.5)
-        h.observe(42.0)
-        sampler.tick(now=101.0)
-        return store
-
-    def test_round_trip_preserves_frames(self, tmp_path):
-        store = self._store()
-        path = tmp_path / "h.npz"
-        save_history_npz(store, path)
-        loaded = load_history_npz(path)
-        assert [f.to_json() for f in loaded.frames()] == [
-            f.to_json() for f in store.frames()
-        ]
-        assert loaded.capacity == store.capacity
-        assert loaded.delta("reqs") == store.delta("reqs")
-        assert loaded.percentile("lat", 0.99) == store.percentile("lat", 0.99)
-
-    def test_archive_bytes_are_deterministic(self, tmp_path):
-        store = self._store()
-        a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-        save_history_npz(store, a)
-        save_history_npz(load_history_npz(a), b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_changed_bucket_bounds_rejected(self, tmp_path):
-        store = SeriesStore()
-        hist = {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0}
-        store.append(
-            _frame(1.0, histograms={"h": {**hist, "buckets": {"1": 1, "+inf": 0}}})
-        )
-        store.append(
-            _frame(2.0, histograms={"h": {**hist, "buckets": {"2": 1, "+inf": 0}}})
-        )
-        with pytest.raises(ValueError, match="bucket bounds"):
-            save_history_npz(store, tmp_path / "bad.npz")
-
-    def test_wrong_format_fails_loudly(self, tmp_path):
-        from repro.workloads.store import write_npz_archive
-
-        path = tmp_path / "other.npz"
-        write_npz_archive(path, {"format": "not-history", "version": 1}, [])
-        with pytest.raises(ValueError, match="format"):
-            load_history_npz(path)
-
-
 # -- Prometheus exposition ---------------------------------------------------
 
 
@@ -364,189 +181,6 @@ class TestRenderPrometheus:
         text = render_prometheus(reg.snapshot())
         assert "repro_g +Inf" in text
         validate_prometheus_text(text)
-
-
-# -- SLO engine --------------------------------------------------------------
-
-
-def _gauge_store(values, metric="depth"):
-    store = SeriesStore()
-    for t, v in enumerate(values):
-        store.append(_frame(float(t), gauges={metric: v}))
-    return store
-
-
-class TestSloRule:
-    def test_rejects_bad_op_signal_window(self):
-        with pytest.raises(ValueError, match="op"):
-            SloRule(name="r", metric="m", threshold=1.0, op="!=")
-        with pytest.raises(ValueError, match="signal"):
-            SloRule(name="r", metric="m", threshold=1.0, signal="median")
-        with pytest.raises(ValueError, match="window_s"):
-            SloRule(name="r", metric="m", threshold=1.0, window_s=0)
-        with pytest.raises(ValueError, match="for_ticks"):
-            SloRule(name="r", metric="m", threshold=1.0, for_ticks=0)
-        with pytest.raises(ValueError, match="denominator"):
-            SloRule(name="r", metric="m", threshold=1.0, signal="ratio")
-        with pytest.raises(ValueError, match="denominator"):
-            SloRule(name="r", metric="m", threshold=1.0, denominator="x")
-
-    def test_percentile_signal(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 10.0))
-        for v in (0.5, 0.6, 0.7, 50.0):
-            h.observe(v)
-        store = SeriesStore()
-        MetricsSampler(store, registry=reg).tick(now=1.0)
-        rule = SloRule(name="p99", metric="lat", threshold=10.0, signal="p99")
-        assert rule.evaluate(store) == 50.0
-
-    def test_ratio_signal_with_summed_denominator(self):
-        store = SeriesStore()
-        for t, (hits, misses) in enumerate([(0, 0), (30, 10)]):
-            store.append(
-                _frame(float(t), counters={"hits": hits, "misses": misses})
-            )
-        rule = SloRule(
-            name="hit-ratio",
-            metric="hits",
-            threshold=0.9,
-            signal="ratio",
-            op="<",
-            denominator="hits+misses",
-        )
-        assert rule.evaluate(store) == pytest.approx(0.75)
-
-    def test_ratio_zero_denominator_is_nan(self):
-        store = _gauge_store([])
-        store.append(_frame(0.0, counters={"a": 0, "b": 0}))
-        store.append(_frame(1.0, counters={"a": 0, "b": 0}))
-        rule = SloRule(
-            name="r", metric="a", threshold=0.5, signal="ratio", denominator="b"
-        )
-        assert math.isnan(rule.evaluate(store))
-
-
-class TestSloEngine:
-    def test_fires_after_for_ticks_consecutive_breaches(self):
-        rule = SloRule(name="deep", metric="depth", threshold=5.0, for_ticks=2)
-        engine = SloEngine([rule])
-        store = SeriesStore()
-
-        store.append(_frame(0.0, gauges={"depth": 9.0}))
-        assert engine.evaluate(store, now=0.0) == []  # streak 1 of 2
-        store.append(_frame(1.0, gauges={"depth": 9.0}))
-        [event] = engine.evaluate(store, now=1.0)
-        assert (event.rule, event.state) == ("deep", "firing")
-        assert engine.firing() == ["deep"]
-
-    def test_interrupted_streak_never_fires(self):
-        rule = SloRule(name="deep", metric="depth", threshold=5.0, for_ticks=2)
-        engine = SloEngine([rule])
-        store = SeriesStore()
-        for t, v in enumerate([9.0, 1.0, 9.0, 1.0]):
-            store.append(_frame(float(t), gauges={"depth": v}))
-            assert engine.evaluate(store, now=float(t)) == []
-        assert engine.firing() == []
-
-    def test_resolves_on_first_clean_tick(self):
-        engine = SloEngine(
-            [SloRule(name="deep", metric="depth", threshold=5.0)]
-        )
-        store = SeriesStore()
-        store.append(_frame(0.0, gauges={"depth": 9.0}))
-        engine.evaluate(store, now=0.0)
-        store.append(_frame(1.0, gauges={"depth": 0.0}))
-        [event] = engine.evaluate(store, now=1.0)
-        assert (event.state, event.value) == ("resolved", 0.0)
-        assert engine.firing() == []
-        states = [e.state for e in engine.events()]
-        assert states == ["firing", "resolved"]
-
-    def test_nan_never_breaches_and_resets_streak(self):
-        engine = SloEngine(
-            [SloRule(name="missing", metric="ghost", threshold=0.0, op=">=")]
-        )
-        store = _gauge_store([1.0, 2.0])  # 'ghost' never sampled
-        assert engine.evaluate(store, now=0.0) == []
-        assert engine.firing() == []
-
-    def test_duplicate_rule_names_rejected(self):
-        rule = SloRule(name="dup", metric="m", threshold=1.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            SloEngine([rule, SloRule(name="dup", metric="n", threshold=2.0)])
-
-    def test_transitions_reach_the_log_stream(self):
-        stream = io.StringIO()
-        setup_logging("info", json_mode=True, stream=stream)
-        try:
-            engine = SloEngine(
-                [SloRule(name="deep", metric="depth", threshold=5.0)]
-            )
-            store = _gauge_store([9.0])
-            engine.evaluate(store, now=0.0)
-        finally:
-            logging.getLogger("repro").handlers.clear()
-        doc = json.loads(stream.getvalue().strip())
-        assert doc["logger"] == "repro.obs.slo"
-        assert doc["level"] == "warning"
-        assert (doc["rule"], doc["state"]) == ("deep", "firing")
-
-    def test_to_json_document_shape(self):
-        engine = SloEngine(
-            [SloRule(name="deep", metric="depth", threshold=5.0)]
-        )
-        store = _gauge_store([9.0])
-        engine.evaluate(store, now=7.0)
-        doc = engine.to_json()
-        [rule] = doc["rules"]
-        assert rule["state"] == "firing"
-        assert rule["value"] == 9.0
-        assert rule["since"] == 7.0
-        assert doc["firing"] == ["deep"]
-        assert doc["events"] == [
-            AlertEvent(7.0, "deep", "firing", 9.0, 5.0).to_json()
-        ]
-        json.dumps(doc)  # JSON-safe throughout
-
-
-class TestLoadSloRules:
-    def test_loads_list_and_rules_object(self, tmp_path):
-        rules = [{"name": "a", "metric": "m", "threshold": 1.5}]
-        flat = tmp_path / "flat.json"
-        flat.write_text(json.dumps(rules))
-        wrapped = tmp_path / "wrapped.json"
-        wrapped.write_text(json.dumps({"rules": rules}))
-        for p in (flat, wrapped):
-            [rule] = load_slo_rules(p)
-            assert (rule.name, rule.threshold) == ("a", 1.5)
-
-    def test_unknown_keys_name_the_rule_index(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps([{"name": "a", "metric": "m", "threshold": 1, "oops": 2}]))
-        with pytest.raises(ValueError, match=r"rule \[0\].*oops"):
-            load_slo_rules(p)
-
-    def test_missing_keys_rejected(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps([{"name": "a"}]))
-        with pytest.raises(ValueError, match="missing keys"):
-            load_slo_rules(p)
-
-    def test_unreadable_file_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read"):
-            load_slo_rules(tmp_path / "absent.json")
-        garbled = tmp_path / "garbled.json"
-        garbled.write_text("{not json")
-        with pytest.raises(ValueError, match="cannot read"):
-            load_slo_rules(garbled)
-
-    def test_duplicate_names_rejected(self, tmp_path):
-        p = tmp_path / "dup.json"
-        rule = {"name": "a", "metric": "m", "threshold": 1}
-        p.write_text(json.dumps([rule, rule]))
-        with pytest.raises(ValueError, match="unique"):
-            load_slo_rules(p)
 
 
 # -- traceparent helpers -----------------------------------------------------

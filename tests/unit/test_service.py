@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -565,6 +566,13 @@ class TestScheduler:
         assert failed.error == "RuntimeError: lockstep boom"
         assert failed.failed_points == failed.n_points == 2
         assert failed.point_states == {0: "failed", 1: "failed"}
+        # /progress reads the same record: every point is accounted for.
+        progress = sched.progress_json(job.job_id)
+        assert progress["failed"] == 2
+        assert (
+            progress["completed"] + progress["cached"] + progress["failed"]
+            == failed.n_points
+        )
 
     def test_submit_events_precede_dispatch(self, tmp_path, monkeypatch):
         append = RunLedger.append
@@ -623,16 +631,16 @@ class TestScheduler:
     def test_job_spans_wait_for_capture_after_done(self, tmp_path, monkeypatch):
         """A job reads 'done' before its span closes and is captured; a
         caller that sees 'done' must still get the job's whole trace."""
-        import time
+        close = RunLedger.close
 
+        def slow_close(ledger):
+            # The running job's ledger closes after its job.done append
+            # and before its service.job span is captured.
+            time.sleep(0.2)
+            close(ledger)
+
+        monkeypatch.setattr(RunLedger, "close", slow_close)
         sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
-        finished = sched.tracker.job_finished
-
-        def slow_job_finished(job_id):
-            time.sleep(0.2)  # widen the gap between 'done' and the capture
-            finished(job_id)
-
-        monkeypatch.setattr(sched.tracker, "job_finished", slow_job_finished)
         try:
             record = sched.submit(quick_request())
             sched.wait(record.job_id, timeout=120)
@@ -640,6 +648,79 @@ class TestScheduler:
         finally:
             sched.stop()
         assert {"service.job", "runner.sweep", "runner.point"} <= names
+
+    def test_sweeps_run_on_the_dispatcher_thread(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        evaluate = runner_mod.evaluate_scenario
+        seen = []
+
+        def note_threads(scenario, **kwargs):
+            seen.append(
+                (
+                    threading.current_thread().name,
+                    {t.name for t in threading.enumerate()},
+                )
+            )
+            return evaluate(scenario, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "evaluate_scenario", note_threads)
+        sched = ExperimentScheduler(tmp_path, jobs=1, poll_interval=0.005)
+        try:
+            job_id = sched.submit(quick_request()).job_id
+            assert sched.wait(job_id, timeout=120).state == "done"
+        finally:
+            sched.stop()
+        assert len(seen) == 2
+        for current, names in seen:
+            assert current == "repro-dispatch"
+            assert not names & {"repro-sweep", "repro-metrics-sampler"}
+
+    def test_live_stop_parks_the_job_for_the_next_boot(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        evaluate = runner_mod.evaluate_scenario
+        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        stopper = threading.Thread(target=sched.stop)
+        calls = []
+
+        def stop_during_second_point(scenario, **kwargs):
+            calls.append(scenario)
+            if len(calls) == 2:
+                # stop() joins the dispatcher, which is this thread: run
+                # it aside, and finish this point once it has begun.
+                stopper.start()
+                assert sched._stop.wait(10)
+            return evaluate(scenario, **kwargs)
+
+        request = quick_request(
+            params={"rates": [0.05, 0.1, 0.15, 0.2], "cycles": 300}
+        )
+        with monkeypatch.context() as m:
+            m.setattr(runner_mod, "evaluate_scenario", stop_during_second_point)
+            job_id = sched.submit(request).job_id
+            deadline = time.monotonic() + 120
+            while stopper.ident is None:
+                assert time.monotonic() < deadline, "the job never ran"
+                time.sleep(0.005)
+            stopper.join(timeout=120)
+            assert not stopper.is_alive()
+
+        parked = sched.job(job_id)
+        assert (parked.state, parked.points_done) == ("running", 2)
+        events = sched.ledger_events(job_id)
+        assert events[-1]["event"] == "job.interrupted"
+        assert replay_ledger(events).state == "running"
+        assert len(sched.cache_path.read_bytes().splitlines()) == 2
+
+        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        try:
+            done = reborn.wait(job_id, timeout=120)
+        finally:
+            reborn.stop()
+        assert (done.state, done.resumed, done.cache_hits) == ("done", 1, 2)
+        direct = Runner().run(scenario_family("saturation-sweep", **request["params"]))
+        assert reborn.result_metrics(job_id) == [r.metrics for r in direct]
 
     def test_uptime_and_queue_depth(self, tmp_path):
         sched = ExperimentScheduler(tmp_path, auto_start=False)
