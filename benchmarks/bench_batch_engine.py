@@ -9,16 +9,23 @@ family through both engines on prebuilt traces.
 
 The ``sweep_e2e_16pt_*`` records time what a user waits for: one
 ``Runner.run`` of a 16-rate 8x8 saturation family on a fresh cache,
-trace generation included, per engine and at ``jobs`` 1 and 2. The CI
+trace generation included, at ``jobs`` 1 and 2. The ``planned``
+records run the family as the runner's planner chooses (one lockstep
+chunk at ``jobs=1``); the ``interpreter`` records raise the planner's
+crossover out of reach, so every point runs on the interpreter. The CI
 bench-smoke speedup gate divides ``sweep_e2e_16pt_interpreter`` by
-``sweep_e2e_16pt_batched`` (the engines are bit-identical, so the
+``sweep_e2e_16pt_planned`` (the engines are bit-identical, so the
 comparison is purely about speed).
 """
+
+import math
+from contextlib import contextmanager
 
 import numpy as np
 
 from repro.bench import benchmark_spec
 from repro.experiments import EvaluationCache, Runner, scenario_family
+from repro.experiments import runner as runner_mod
 from repro.simulation import BatchSimulator, Simulator
 from repro.topology import RoutingTable, build_mesh
 from repro.traffic import PacketRecord, Trace
@@ -80,7 +87,7 @@ def run_batch_engine_sweep(fixture):
     return bsim.run_batch(traces, max_cycles=2_000_000)
 
 
-def _e2e_family(engine: str):
+def _e2e_family():
     """The family as scenario specs only: traces are built in the timed run."""
     return scenario_family(
         "saturation-sweep",
@@ -88,8 +95,18 @@ def _e2e_family(engine: str):
         width=8,
         height=8,
         cycles=SWEEP_WINDOW,
-        engine=engine,
     )
+
+
+@contextmanager
+def _interpreter_only():
+    """No chunk reaches the planner's lockstep crossover in this block."""
+    saved = runner_mod.LOCKSTEP_MIN_WORK
+    runner_mod.LOCKSTEP_MIN_WORK = math.inf
+    try:
+        yield
+    finally:
+        runner_mod.LOCKSTEP_MIN_WORK = saved
 
 
 def _e2e_run(scenarios, jobs: int):
@@ -97,40 +114,32 @@ def _e2e_run(scenarios, jobs: int):
     return [r.metrics for r in Runner(jobs=jobs, cache=EvaluationCache()).run(scenarios)]
 
 
-_E2E = dict(points=len(SWEEP_RATES), tags=("perf", "simulation"))
+_E2E = dict(setup=_e2e_family, points=len(SWEEP_RATES), tags=("perf", "simulation"))
 
 
-@benchmark_spec(
-    "sweep_e2e_16pt_interpreter", setup=lambda: _e2e_family("interpreter"), **_E2E
-)
+@benchmark_spec("sweep_e2e_16pt_interpreter", **_E2E)
 def run_sweep_e2e_interpreter(scenarios):
-    """16-point 8x8 family end to end on the interpreter, jobs=1."""
+    """16-point 8x8 family end to end on the interpreter only, jobs=1."""
+    with _interpreter_only():
+        return _e2e_run(scenarios, jobs=1)
+
+
+@benchmark_spec("sweep_e2e_16pt_planned", **_E2E)
+def run_sweep_e2e_planned(scenarios):
+    """16-point 8x8 family end to end as the planner runs it, jobs=1."""
     return _e2e_run(scenarios, jobs=1)
 
 
-@benchmark_spec(
-    "sweep_e2e_16pt_batched", setup=lambda: _e2e_family("batched"), **_E2E
-)
-def run_sweep_e2e_batched(scenarios):
-    """16-point 8x8 family end to end on the batched engine, jobs=1."""
-    return _e2e_run(scenarios, jobs=1)
-
-
-@benchmark_spec(
-    "sweep_e2e_16pt_interpreter_jobs2",
-    setup=lambda: _e2e_family("interpreter"),
-    **_E2E,
-)
+@benchmark_spec("sweep_e2e_16pt_interpreter_jobs2", **_E2E)
 def run_sweep_e2e_interpreter_jobs2(scenarios):
-    """16-point 8x8 family end to end on the interpreter, two workers."""
-    return _e2e_run(scenarios, jobs=2)
+    """16-point 8x8 family end to end on the interpreter only, two workers."""
+    with _interpreter_only():
+        return _e2e_run(scenarios, jobs=2)
 
 
-@benchmark_spec(
-    "sweep_e2e_16pt_batched_jobs2", setup=lambda: _e2e_family("batched"), **_E2E
-)
-def run_sweep_e2e_batched_jobs2(scenarios):
-    """16-point 8x8 family end to end as two batched chunks on two workers."""
+@benchmark_spec("sweep_e2e_16pt_planned_jobs2", **_E2E)
+def run_sweep_e2e_planned_jobs2(scenarios):
+    """16-point 8x8 family end to end as the planner runs it, two workers."""
     return _e2e_run(scenarios, jobs=2)
 
 
@@ -170,13 +179,13 @@ def test_perf_sweep_amortization(run_bench):
 
 def test_perf_sweep_e2e_records_agree(run_bench):
     """Every engine and pool size returns the identical sweep metrics; the
-    batched speedup is gated in CI from the first two records."""
+    planner's speedup is gated in CI from the first two records."""
     ref = run_bench("sweep_e2e_16pt_interpreter")
     assert len(ref) == len(SWEEP_RATES)
     assert all(m["drained"] for m in ref)
     for name in (
-        "sweep_e2e_16pt_batched",
+        "sweep_e2e_16pt_planned",
         "sweep_e2e_16pt_interpreter_jobs2",
-        "sweep_e2e_16pt_batched_jobs2",
+        "sweep_e2e_16pt_planned_jobs2",
     ):
         assert run_bench(name) == ref, name

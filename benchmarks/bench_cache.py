@@ -24,8 +24,7 @@ _CALLS = 64  # more than the harness's warmup plus its 50 repeats at most
 
 def _points(rates, seed):
     return scenario_family(
-        "saturation-sweep", rates=rates, width=4, height=4, cycles=50, seed=seed,
-        engine="batched",
+        "saturation-sweep", rates=rates, width=4, height=4, cycles=50, seed=seed
     )
 
 

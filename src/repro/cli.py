@@ -36,11 +36,12 @@ Each command prints the rendered ASCII table/figure to stdout; heavier
 commands expose their main knobs as flags. Sweep-shaped commands route
 through the experiment engine (:mod:`repro.experiments`) and share one
 option surface: ``--jobs N`` evaluates design points on a process pool
-(results are bit-identical to serial runs), ``--engine batched`` routes
-eligible points through the vectorized engine, repeated points are
-served from the evaluation cache, and saturated simulation points are
-flagged instead of crashing. The service commands (serve/submit/status/
-fetch/jobs) speak the :mod:`repro.service` HTTP API.
+(results are bit-identical to serial runs), the runner picks the
+simulation engine for each point (wide families run as lockstep
+chunks on the vectorized engine), repeated points are served from the
+evaluation cache, and saturated simulation points are flagged instead
+of crashing. The service commands (serve/submit/status/fetch/jobs)
+speak the :mod:`repro.service` HTTP API.
 """
 
 from __future__ import annotations
@@ -191,7 +192,6 @@ def _cmd_fig6(args: argparse.Namespace) -> None:
         kernels=[args.kernel],
         hops_options=hops_options,
         workloads={args.kernel: (args.volume_scale, None)},
-        engine=args.engine,
     )
     results = Runner(jobs=args.jobs).run(scenarios)
     rows = [
@@ -284,7 +284,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         cycles=args.cycles,
         drain_budget=args.drain_budget,
         seed=args.seed,
-        engine=args.engine,
     )
     results = Runner(jobs=args.jobs).run(scenarios)
     rows = [
@@ -680,7 +679,6 @@ def _cmd_control_knee(args: argparse.Namespace) -> int:
         packet_flits=args.packet_flits,
         drain_budget=args.drain_budget,
         seed=args.seed,
-        engine=args.engine,
         **_parse_params(args.param),
     )
     rows = [
@@ -724,7 +722,6 @@ def _cmd_workload_sweep(args: argparse.Namespace) -> int:
         packet_flits=args.packet_flits,
         drain_budget=args.drain_budget,
         seed=args.seed,
-        engine=args.engine,
         **_parse_params(args.param),
     )
     results = Runner(jobs=args.jobs).run(scenarios)
@@ -903,7 +900,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             print("error: pass --family NAME or --spec FILE", file=sys.stderr)
             return 2
         params = _parse_params(args.param)
-        params.setdefault("engine", args.engine)
         request = {
             "version": REQUEST_VERSION,
             "family": args.family,
@@ -1325,16 +1321,10 @@ def _add_service_client_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_flags(
-    parser: argparse.ArgumentParser, *, engine: bool = False
-) -> None:
-    """The one shared engine-selection surface for sweep-shaped commands.
-
-    Every command that routes through the experiment engine takes the
-    same ``--jobs`` flag here; simulation sweeps additionally take
-    ``--engine`` (``engine=True``). Keeping the definitions in one
-    helper keeps help text, defaults and choices identical everywhere.
-    """
+def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+    """The one ``--jobs`` flag of every command that routes through the
+    experiment engine, so help text and default stay identical
+    everywhere. The runner's planner picks the simulation engine."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -1342,15 +1332,6 @@ def _add_engine_flags(
         help="worker processes for the experiment engine (1 = serial; "
         "results are identical either way)",
     )
-    if engine:
-        parser.add_argument(
-            "--engine",
-            choices=("interpreter", "batched"),
-            default="interpreter",
-            help="execution engine: the reference interpreter or the "
-            "vectorized batched engine (bit-identical; telemetry/"
-            "closed-loop/controller points fall back to the interpreter)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1362,10 +1343,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p3 = sub.add_parser("table3", help="Table III: capability and R")
-    _add_engine_flags(p3)
+    _add_jobs_flag(p3)
     p3.set_defaults(func=_cmd_table3)
     p4 = sub.add_parser("table4", help="Table IV: static power")
-    _add_engine_flags(p4)
+    _add_jobs_flag(p4)
     p4.set_defaults(func=_cmd_table4)
     sub.add_parser("fig3", help="Fig. 3: link CLEAR sweep").set_defaults(
         func=_cmd_fig3
@@ -1379,15 +1360,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="express hop counts to sweep (default: 3 5 15)",
     )
-    _add_engine_flags(p5)
+    _add_jobs_flag(p5)
     p5.set_defaults(func=_cmd_fig5)
     p6 = sub.add_parser("fig6", help="Fig. 6: NPB trace simulation")
     p6.add_argument("--kernel", choices=["FT", "CG", "MG", "LU"], default="CG")
     p6.add_argument("--volume-scale", type=float, default=3e-4)
-    _add_engine_flags(p6, engine=True)
+    _add_jobs_flag(p6)
     p6.set_defaults(func=_cmd_fig6)
     p6t = sub.add_parser("table6", help="Table VI: optical routers")
-    _add_engine_flags(p6t)
+    _add_jobs_flag(p6t)
     p6t.set_defaults(func=_cmd_table6)
     p8 = sub.add_parser("fig8", help="Fig. 8: all-optical projections")
     p8.add_argument("--amortization-rate", type=float, default=0.001)
@@ -1404,7 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=200_000,
         help="post-injection cycles before a point is declared saturated",
     )
-    _add_engine_flags(ps, engine=True)
+    _add_jobs_flag(ps)
     ps.set_defaults(func=_cmd_sweep)
 
     pw = sub.add_parser(
@@ -1474,7 +1455,7 @@ def build_parser() -> argparse.ArgumentParser:
     pww.add_argument("--max-rate", type=float, default=0.3)
     pww.add_argument("--points", type=int, default=5)
     pww.add_argument("--drain-budget", type=int, default=200_000)
-    _add_engine_flags(pww, engine=True)
+    _add_jobs_flag(pww)
     pww.set_defaults(func=_cmd_workload_sweep)
 
     pt = sub.add_parser(
@@ -1621,7 +1602,7 @@ def build_parser() -> argparse.ArgumentParser:
     pck.add_argument(
         "--window", type=int, default=128, help="telemetry window (cycles)"
     )
-    _add_engine_flags(pck, engine=True)
+    _add_jobs_flag(pck)
     # Knee probes lean on the streaming detector, not budget exhaustion;
     # a modest drain budget keeps saturated probes cheap.
     pck.set_defaults(func=_cmd_control_knee, drain_budget=20_000)
@@ -1694,7 +1675,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit logs as JSON lines instead of key=value text",
     )
-    _add_engine_flags(psv)
+    _add_jobs_flag(psv)
     psv.set_defaults(func=_cmd_serve)
 
     psub = sub.add_parser(
@@ -1729,7 +1710,7 @@ def build_parser() -> argparse.ArgumentParser:
         "backoff grows it, capped at 5 s)",
     )
     _add_service_client_flags(psub)
-    _add_engine_flags(psub, engine=True)
+    _add_jobs_flag(psub)
     psub.set_defaults(func=_cmd_submit)
 
     pst = sub.add_parser("status", help="one job's state and progress")

@@ -62,13 +62,15 @@ def register_family(
 
 
 def scenario_family(name: str, /, **kwargs: object) -> list[Scenario]:
-    """Expand the named family with the given knobs into scenarios."""
+    """Expand the named family with the given knobs into scenarios; a
+    legacy ``engine`` knob is validated and dropped (the runner picks it)."""
     try:
         fn = _FAMILIES[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario family {name!r}; expected one of {family_names()}"
         ) from None
+    SimSpec.drop_legacy_engine(kwargs)
     return fn(**kwargs)
 
 
@@ -204,7 +206,6 @@ def saturation_sweep(
     packet_flits: int = 1,
     drain_budget: int = 200_000,
     seed: int = 0,
-    engine: str = "interpreter",
 ) -> list[Scenario]:
     """Open-loop latency-vs-offered-load points, one scenario per rate.
 
@@ -223,7 +224,6 @@ def saturation_sweep(
         cycles=cycles,
         packet_flits=packet_flits,
         drain_budget=drain_budget,
-        engine=engine,
     )
     scenarios = []
     for i, rate in enumerate(rates):
@@ -258,7 +258,6 @@ def workload_saturation(
     packet_flits: int = 1,
     drain_budget: int = 200_000,
     seed: int = 0,
-    engine: str = "interpreter",
     **model_params: object,
 ) -> list[Scenario]:
     """Latency-vs-load points for *any* registered workload model.
@@ -284,7 +283,6 @@ def workload_saturation(
         cycles=cycles,
         packet_flits=packet_flits,
         drain_budget=drain_budget,
-        engine=engine,
     )
     return [
         Scenario(
@@ -321,7 +319,6 @@ def telemetry_profile(
     packet_flits: int = 1,
     drain_budget: int = 200_000,
     seed: int = 0,
-    engine: str = "interpreter",
     **model_params: object,
 ) -> list[Scenario]:
     """Time-resolved profiling points: simulation with telemetry sampling.
@@ -346,7 +343,6 @@ def telemetry_profile(
         packet_flits=packet_flits,
         drain_budget=drain_budget,
         telemetry_window=window,
-        engine=engine,
     )
     return [
         Scenario(
@@ -387,7 +383,6 @@ def closed_loop_saturation(
     telemetry_window: int = 0,
     controllers: Sequence[str] = (),
     seed: int = 0,
-    engine: str = "interpreter",
     **model_params: object,
 ) -> list[Scenario]:
     """Closed-loop request/reply latency-vs-demand points.
@@ -417,7 +412,6 @@ def closed_loop_saturation(
         think_cycles=think_cycles,
         reply_flits=reply_flits,
         controllers=tuple(controllers),
-        engine=engine,
     )
     return [
         Scenario(
@@ -454,7 +448,6 @@ def knee_search(
     packet_flits: int = 1,
     drain_budget: int = 20_000,
     seed: int = 0,
-    engine: str = "interpreter",
     **model_params: object,
 ) -> list[Scenario]:
     """Telemetry-enabled saturation probes for knee location.
@@ -482,7 +475,6 @@ def knee_search(
         packet_flits=packet_flits,
         drain_budget=drain_budget,
         telemetry_window=window,
-        engine=engine,
     )
     return [
         Scenario(
@@ -512,7 +504,6 @@ def npb_kernels(
     express_technology: Technology = Technology.HYPPI,
     workloads: dict[str, tuple[float, int | None]] | None = None,
     max_cycles: int = 2_000_000,
-    engine: str = "interpreter",
 ) -> list[Scenario]:
     """Fig. 6 NPB cycle simulations: kernel outer, topology inner.
 
@@ -522,7 +513,7 @@ def npb_kernels(
     kernel builder's own default.
     """
     loads = DEFAULT_NPB_WORKLOADS if workloads is None else workloads
-    sim = SimSpec(max_cycles=max_cycles, engine=engine)
+    sim = SimSpec(max_cycles=max_cycles)
     scenarios = []
     for combo in grid({"kernel": list(kernels), "hops": list(hops_options)}):
         kernel = str(combo["kernel"]).upper()

@@ -48,6 +48,15 @@ __all__ = [
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
+#: Least points x nodes at which the planner runs a chunk of one family as
+#: one lockstep ``run_batch``, from the crossover in DESIGN.md §3b
+#: (``Runner.run`` with trace generation, 2-vCPU VM): batched / interpreter
+#: speed at sweep load was 0.96x / 1.18x on 4x4 at 512 / 1024, 1.24x / 1.58x
+#: on 8x8 and 1.27x / 1.62x on 16x16, so 1024 is the least work at which all
+#: three win. Trace-driven workloads never batch: four NPB kernels on one
+#: 16x16 topology (1024) ran 0.88-0.91x.
+LOCKSTEP_MIN_WORK = 1024
+
 _POINTS_EVALUATED = counter("runner.points.evaluated")
 _POINTS_CACHED = counter("runner.points.cached")
 
@@ -74,8 +83,8 @@ def _materialize_batched(spec: TopologySpec, cfg):
     """One shared :class:`BatchSimulator` per (topology, SimConfig) family.
 
     The batched engine's family tables (link layout, dateline VC
-    ranges) are built once here and amortized across every
-    scenario of the family — single runs and grouped sweeps alike.
+    ranges) are built once here and amortized across every lockstep
+    chunk of the family this process runs.
     """
     from repro.simulation.batch import BatchSimulator
 
@@ -89,8 +98,7 @@ def evaluate_scenario(
     """Evaluate one scenario into a flat, JSON-safe metrics dictionary.
 
     ``profile`` attaches an opt-in per-phase timer to simulation
-    scenarios (ignored for analytical/all-optical kinds); the engine it
-    ran on is recorded in ``profile.engine``.
+    scenarios (ignored for analytical/all-optical kinds).
     """
     if scenario.kind == "analytical":
         return _evaluate_analytical(scenario)
@@ -115,7 +123,7 @@ def _evaluate_analytical(scenario: Scenario) -> dict[str, Any]:
 
 
 def simulate_scenario(scenario: Scenario, *, profile: PhaseProfile | None = None):
-    """Run a simulation scenario's cycle simulation; ``(topology, stats)``.
+    """Run a simulation scenario on the interpreter; ``(topology, stats)``.
 
     The engine's single evaluation recipe — shared per-process topology
     cache, trace generation from the traffic spec, the spec's cycle
@@ -133,18 +141,6 @@ def simulate_scenario(scenario: Scenario, *, profile: PhaseProfile | None = None
     sim_spec = scenario.sim
     topo, routing = _materialize(scenario.topology)
     trace = scenario.traffic.trace(topo, sim=sim_spec)
-    if sim_spec.run_engine == "batched":
-        if profile is not None:
-            profile.engine = "batched"
-        bsim = _materialize_batched(scenario.topology, sim_spec.sim_config())
-        stats = bsim.run(
-            trace,
-            max_cycles=sim_spec.cycle_budget(scenario.traffic.trace_based),
-            profile=profile,
-        )
-        return topo, stats
-    if profile is not None:
-        profile.engine = "interpreter"
     sim = Simulator(topo, routing, sim_spec.sim_config())
     telemetry_cfg = None
     if sim_spec.telemetry_window > 0:
@@ -303,7 +299,7 @@ class ScenarioResult:
 
 
 def _run_unit(
-    scenarios: list[Scenario], batched: bool, want_profile: bool
+    scenarios: list[Scenario], engine: str, want_profile: bool
 ) -> tuple[list[dict[str, Any]], list[PhaseProfile | None]]:
     """Evaluate one work unit; its metrics and profiles, in point order.
 
@@ -314,7 +310,7 @@ def _run_unit(
     :func:`evaluate_scenario`. Module-level, so the same call runs
     inline and on the pool.
     """
-    if batched:
+    if engine == "batched":
         spec, sim = scenarios[0].topology, scenarios[0].sim
         topo, _ = _materialize(spec)
         traces = [s.traffic.trace(topo, sim=s.sim) for s in scenarios]
@@ -332,7 +328,7 @@ def _run_unit(
 
 
 def _pool_unit(
-    scenarios: list[Scenario], batched: bool, want_profile: bool
+    scenarios: list[Scenario], engine: str, want_profile: bool
 ) -> tuple[tuple, dict[str, Any], list[dict]]:
     """Pool-worker seam: run one unit and ship its spans home.
 
@@ -345,7 +341,7 @@ def _pool_unit(
     """
     worker = {"worker": os.getpid(), "worker_t": round(time.time(), 6)}
     clear_spans()
-    out = _run_unit(scenarios, batched, want_profile)
+    out = _run_unit(scenarios, engine, want_profile)
     recs = take_spans()
     ids = {rec.span_id for rec in recs}
     for rec in recs:
@@ -356,13 +352,14 @@ def _pool_unit(
 
 @dataclass
 class _Unit:
-    """One piece of planned work: a batched-family chunk or a single point."""
+    """One piece of planned work: a lockstep chunk or a single point."""
 
     points: list[int]
     """Batch indices of the points it evaluates."""
     scenarios: list[Scenario]
     engine: str
-    batched: bool
+    """``"batched"`` for a lockstep chunk, ``"interpreter"`` for a
+    simulated point, the scenario kind for any other point."""
     future: Future | None = None
     """The pending pool result, when the unit was submitted to the pool."""
     results: dict[int, ScenarioResult] | None = None
@@ -547,7 +544,7 @@ class Runner:
             pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(units)))
             for unit in units:
                 unit.future = pool.submit(
-                    _pool_unit, unit.scenarios, unit.batched, self.profile
+                    _pool_unit, unit.scenarios, unit.engine, self.profile
                 )
                 self._emit_unit(unit, "point.dispatched", engine=unit.engine)
         try:
@@ -580,12 +577,15 @@ class Runner:
 
         Each distinct point is looked up in the cache once, at its first
         occurrence; a repeat is left for the stream to serve from the
-        cache. Misses that run on the batched engine are grouped by
-        (topology, simulator config), and each group is split into
-        ``min(jobs, len(group))`` strided chunks, so that every chunk
-        gets a share of the slow high-rate points. A profiled sweep does
-        not group: lockstep time cannot be split per point. Every other
-        miss is a unit of its own.
+        cache. The planner picks each miss's engine. Misses on synthetic
+        traffic that can run in lockstep (:attr:`SimSpec.can_lockstep`)
+        are grouped by (topology, simulator config), and each group is
+        split into ``min(jobs, len(group))`` strided chunks, so that
+        every chunk gets a share of the slow high-rate points. A chunk
+        of at least two points whose points x nodes reaches
+        :data:`LOCKSTEP_MIN_WORK` is one batched unit; every other miss
+        is an interpreter unit of its own. A profiled sweep does not
+        group: lockstep time cannot be split per point.
         """
         hits: dict[int, dict[str, Any]] = {}
         units: list[_Unit] = []
@@ -597,20 +597,23 @@ class Runner:
                 continue
             seen.add(h)
             metrics = self.cache.get(s)
-            engine = s.sim.run_engine if s.kind == "simulation" else s.kind
             if metrics is not None:
                 hits[i] = metrics
-            elif engine == "batched" and not self.profile:
+            elif s.kind != "simulation":
+                units.append(_Unit([i], [s], s.kind))
+            elif s.sim.can_lockstep and not (s.traffic.trace_based or self.profile):
                 groups.setdefault((s.topology, s.sim.sim_config()), []).append(i)
             else:
-                units.append(_Unit([i], [s], engine, batched=False))
-        for members in groups.values():
+                units.append(_Unit([i], [s], "interpreter"))
+        for (topo, _), members in groups.items():
             n = min(self.jobs, len(members))
             for k in range(n):
                 chunk = members[k::n]
-                units.append(
-                    _Unit(chunk, [batch[i] for i in chunk], "batched", batched=True)
-                )
+                work = len(chunk) * topo.width * topo.height
+                if len(chunk) >= 2 and work >= LOCKSTEP_MIN_WORK:
+                    units.append(_Unit(chunk, [batch[i] for i in chunk], "batched"))
+                else:
+                    units += [_Unit([i], [batch[i]], "interpreter") for i in chunk]
         units.sort(key=lambda unit: unit.points[0])
         return hits, units
 
@@ -628,7 +631,7 @@ class Runner:
                 worker = {"worker": os.getpid(), "worker_t": round(time.time(), 6)}
                 self._emit_unit(unit, "point.dispatched", engine=unit.engine)
                 self._emit_unit(unit, "point.simulating", engine=unit.engine, **worker)
-                metrics, profiles = _run_unit(unit.scenarios, unit.batched, self.profile)
+                metrics, profiles = _run_unit(unit.scenarios, unit.engine, self.profile)
             else:
                 (metrics, profiles), worker, spans = unit.future.result()
                 merge_exported(spans, parent_id=current_span_id())

@@ -345,19 +345,10 @@ class SimSpec:
     "params": {...}}`` dicts carrying factory keywords; dict entries are
     normalized to hashable ``(name, ((key, value), ...))`` pairs.
     Requires ``telemetry_window > 0``."""
-    engine: str = "interpreter"
-    """Requested execution engine: ``"interpreter"`` (reference) or
-    ``"batched"`` (the vectorized :class:`repro.simulation.BatchSimulator`).
-    :attr:`run_engine` is the one that runs."""
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
             raise ValueError(f"cycles must be >= 1, got {self.cycles}")
-        if self.engine not in ("interpreter", "batched"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                "one of ('interpreter', 'batched')"
-            )
         if self.drain_budget < 1 or self.max_cycles < 1:
             raise ValueError(f"cycle budgets must be >= 1: {self}")
         if self.telemetry_window < 0:
@@ -404,13 +395,11 @@ class SimSpec:
         )
 
     @property
-    def run_engine(self) -> str:
-        """The engine that runs this spec: the requested one, unless a
-        feature only the interpreter has is on. Telemetry sampling,
-        closed-loop sessions and controllers hook every packet in
-        sequence, which the lockstep batched engine cannot."""
-        hooked = self.telemetry_window or self.closed_loop_window or self.controllers
-        return "interpreter" if hooked else self.engine
+    def can_lockstep(self) -> bool:
+        """Whether the lockstep batched engine can run this spec: not when
+        telemetry sampling, a closed-loop session or controllers are on,
+        which hook every packet in sequence."""
+        return not (self.telemetry_window or self.closed_loop_window or self.controllers)
 
     def cycle_budget(self, trace_based: bool) -> int:
         """Simulation cycle cap for this workload style."""
@@ -437,14 +426,28 @@ class SimSpec:
                 else {"name": c[0], "params": dict(c[1])}
                 for c in self.controllers
             ],
-            "engine": self.engine,
+            # The engine is the runner's choice, not part of the spec; the
+            # constant keeps every content hash, sweep hash and release
+            # byte what it was when specs named an engine.
+            "engine": "interpreter",
         }
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "SimSpec":
         data = dict(data)
+        cls.drop_legacy_engine(data)
         data["controllers"] = tuple(data.get("controllers", ()))
         return cls(**data)
+
+    @staticmethod
+    def drop_legacy_engine(params: dict[str, Any]) -> None:
+        """Pop the ``"engine"`` that specs and family params once named:
+        either old value means the same point, anything else raises."""
+        engine = params.pop("engine", "interpreter")
+        if engine not in ("interpreter", "batched"):
+            raise ValueError(
+                f"unknown engine {engine!r}; one of ('interpreter', 'batched')"
+            )
 
 
 @dataclass(frozen=True)

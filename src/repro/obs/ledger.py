@@ -27,11 +27,11 @@ Crash-safety contract:
 
 :func:`export_ledger` mirrors :func:`repro.obs.trace.export_trace`'s
 deterministic-export conventions: ``deterministic=True`` strips wall
-timestamps and worker pids, renumbers ``seq`` densely, and orders events
-canonically (job-event barriers partition the stream into segments;
-within a segment, point events sort by point index then lifecycle
-stage), so identical sweeps export byte-identical documents regardless
-of ``--jobs`` interleaving.
+timestamps, worker pids and engines, renumbers ``seq`` densely, and
+orders events canonically (job-event barriers partition the stream into
+segments; within a segment, point events sort by point index then
+lifecycle stage), so identical sweeps export byte-identical documents
+regardless of ``--jobs`` interleaving.
 """
 
 from __future__ import annotations
@@ -93,8 +93,9 @@ _LIFECYCLE_RANK = {
 }
 
 #: Fields stripped by the deterministic export (wall-clock and
-#: process-identity data that varies run to run).
-_VOLATILE_FIELDS = ("t", "worker", "worker_t", "duration_s")
+#: process-identity data that varies run to run, and the engine, which
+#: the runner's planner picks per chunk and so varies with ``--jobs``).
+_VOLATILE_FIELDS = ("t", "worker", "worker_t", "duration_s", "engine")
 
 
 def complete_lines(raw: bytes) -> tuple[list[bytes], int]:

@@ -22,7 +22,7 @@ an aligned per-phase table with percent-of-total columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
@@ -106,8 +106,8 @@ def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
 
     Returns ``{"interpreter": PhaseProfile, "batched": PhaseProfile}``
     (the batched entry is omitted for scenarios the batched engine cannot
-    run: ``SimSpec.run_engine`` keeps telemetry, closed-loop and
-    controller specs on the interpreter). Imports lazily so
+    run: ``SimSpec.can_lockstep`` is false for telemetry, closed-loop and
+    controller specs, as in the runner's planner). Imports lazily so
     :mod:`repro.obs` never drags the simulation stack in at import time
     (and stays cycle-free).
     """
@@ -128,7 +128,7 @@ def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
     Simulator(topo, routing, cfg).run(trace, max_cycles=max_cycles, profile=prof_i)
     out["interpreter"] = prof_i
 
-    if replace(sim_spec, engine="batched").run_engine == "batched":
+    if sim_spec.can_lockstep:
         prof_b = PhaseProfile(engine="batched")
         BatchSimulator(topo, routing, cfg).run_batch(
             [trace], max_cycles=max_cycles, profile=prof_b

@@ -10,7 +10,7 @@ That gives three properties for free:
   :class:`~repro.experiments.EvaluationCache`, so concurrent submissions
   of the same (or overlapping) specs simulate each point exactly once;
   parallelism *within* a job still comes from the runner's process pool
-  and the batched engine's grouping, both untouched;
+  and its lockstep chunks, both untouched;
 * **checkpointed progress** — each completed point is appended to the
   on-disk cache log (only new points are written), so a killed service
   resumes a half-done job as cache hits instead of recomputing;
@@ -163,9 +163,15 @@ class ExperimentScheduler:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Start the dispatcher thread (idempotent)."""
+        """Start the dispatcher thread (idempotent); a job that a live
+        :meth:`stop` parked is requeued first, at the head of the queue."""
         if self._thread is not None and self._thread.is_alive():
             return
+        with self._lock:
+            running = (r for r in self._records.values() if r.state == "running")
+            parked = [r for r in running if r.job_id != self._executing]
+        for record in parked:  # at most one: the single dispatcher's last job
+            self._requeue(record, front=True)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-dispatch", daemon=True
@@ -199,28 +205,34 @@ class ExperimentScheduler:
                 continue
             self._records[record.job_id] = record
             if record.state in ("queued", "running"):
-                # A restart re-dispatches interrupted work from the top;
-                # the points it already checkpointed return as cache hits.
-                _log.info(
-                    "boot-requeue of interrupted job",
-                    extra=fields(
-                        job=record.job_id,
-                        prev_state=record.state,
-                        resumed=record.resumed + 1,
-                    ),
-                )
-                with self._open_ledger(record.job_id) as ledger:
-                    self._append(
-                        ledger, record, "job.requeued", resumed=record.resumed + 1
-                    )
-                self._queue.append(record.job_id)
-                self._enqueued_at[record.job_id] = time.monotonic()
+                self._requeue(record)
         legacy = self.state_dir / "jobs"
         if old or legacy.exists():
             _log.warning(
                 "ignoring job state from before the event-sourced ledger",
                 extra=fields(path=str(legacy), old_ledgers=old),
             )
+
+    def _requeue(self, record: JobRecord, *, front: bool = False) -> None:
+        """Queue an unfinished job again; it re-runs from the top, and the
+        points it already checkpointed return as cache hits."""
+        _log.info(
+            "requeue of interrupted job",
+            extra=fields(
+                job=record.job_id,
+                prev_state=record.state,
+                resumed=record.resumed + 1,
+            ),
+        )
+        with self._open_ledger(record.job_id) as ledger:
+            self._append(ledger, record, "job.requeued", resumed=record.resumed + 1)
+        with self._lock:
+            if front:
+                self._queue.appendleft(record.job_id)
+            else:
+                self._queue.append(record.job_id)
+            self._enqueued_at[record.job_id] = time.monotonic()
+            _QUEUE_DEPTH.set(len(self._queue))
 
     def _open_ledger(self, job_id: str) -> RunLedger:
         """Open the job's run ledger (``ledger/<job_id>.ndjson``).
@@ -382,7 +394,7 @@ class ExperimentScheduler:
     def trace_rows(self, job_id: str, point: int) -> list[dict[str, Any]]:
         """Per-window telemetry/control rows for one finished point.
 
-        Interpreter-engine points with ``telemetry_window > 0`` only.
+        Points with ``telemetry_window > 0`` only.
         Rows are derived once per (job, point) by deterministically
         replaying the scenario (evaluation purity makes the replay
         byte-equivalent to the run that produced the cached metrics) and

@@ -1,13 +1,13 @@
 """Per-window trace rows for the service's streaming endpoint.
 
-Interpreter-engine jobs sampled with ``SimSpec.telemetry_window > 0``
-expose their time-resolved record over HTTP as newline-delimited JSON:
-one prologue object, then one row per telemetry window (control actions
-attached to the window they fired in). Rows are derived by replaying the
-scenario through the engine's single evaluation recipe
-(:func:`repro.experiments.simulate_scenario`); evaluation purity makes
-the replay identical to the run whose summary metrics the job cached, so
-the stream and the metrics never disagree.
+Jobs sampled with ``SimSpec.telemetry_window > 0`` (which always run
+on the interpreter) expose their time-resolved record over HTTP as
+newline-delimited JSON: one prologue object, then one row per telemetry
+window (control actions attached to the window they fired in). Rows are
+derived by replaying the scenario through the engine's single evaluation
+recipe (:func:`repro.experiments.simulate_scenario`); evaluation purity
+makes the replay identical to the run whose summary metrics the job
+cached, so the stream and the metrics never disagree.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ def window_rows(scenario: Scenario) -> list[dict[str, Any]]:
     """Prologue + per-window rows for one telemetry-enabled scenario.
 
     Raises ``ValueError`` for scenarios that carry no windowed telemetry
-    (non-simulation kinds, ``telemetry_window == 0``, or batched-engine
-    points — the vectorized engine keeps no per-window record).
+    (non-simulation kinds, or ``telemetry_window == 0``).
     """
     if scenario.kind != "simulation" or scenario.sim is None:
         raise ValueError(

@@ -51,7 +51,8 @@ def profiled_request(n_rates=4):
 
 
 def batched_request():
-    params = {"rates": [0.04, 0.08, 0.12, 0.16], "cycles": 300, "engine": "batched"}
+    """Runs as lockstep chunks under the ``lockstep`` fixture."""
+    params = {"rates": [0.04, 0.08, 0.12, 0.16], "cycles": 300}
     return {"version": 1, "family": "saturation-sweep", "params": params}
 
 
@@ -158,7 +159,7 @@ class TestLedgerEndToEnd:
         finally:
             shut(server, thread)
 
-    def test_deterministic_exports_stable_across_jobs(self, tmp_path):
+    def test_deterministic_exports_stable_across_jobs(self, tmp_path, lockstep):
         """jobs=1 and jobs=2 sweeps export byte-identical documents."""
         exports = []
         for jobs in (1, 2):

@@ -364,17 +364,22 @@ class TestProfile:
         ],
         ids=["telemetry", "closed-loop", "controllers"],
     )
-    def test_telemetry_scenarios_are_interpreter_only(self, features):
-        """Batched requests using a hooked feature run on the interpreter,
-        by the same rule in the profiler and the runner."""
-        base = _point(cycles=256)
-        scenario = replace(base, sim=replace(base.sim, engine="batched", **features))
-        profiles = profile_simulation(scenario)
+    def test_telemetry_scenarios_are_interpreter_only(self, lockstep, features):
+        """Points using a hooked feature run on the interpreter, by the
+        same rule in the profiler and the planner, even in a wide group."""
+        scenarios = [
+            replace(s, sim=replace(s.sim, **features))
+            for s in scenario_family(
+                "saturation-sweep", rates=[0.1, 0.2], width=4, height=4,
+                cycles=256, seed=3,
+            )
+        ]
+        profiles = profile_simulation(scenarios[0])
         assert set(profiles) == {"interpreter"}
         events = []
-        Runner(observer=events.append).run([scenario])
-        [done] = [ev for ev in events if ev["event"] == "point.completed"]
-        assert done["engine"] == "interpreter"
+        Runner(observer=events.append).run(scenarios)
+        done = [ev["engine"] for ev in events if ev["event"] == "point.completed"]
+        assert done == ["interpreter", "interpreter"]
 
     def test_non_simulation_scenario_rejected(self):
         scenario = scenario_family("paper-grid", hops_options=[3])[0]

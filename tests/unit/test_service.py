@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import threading
 import time
@@ -549,7 +550,9 @@ class TestScheduler:
         assert events[-1]["event"] == "job.failed"
         assert replay_ledger(events).state == "failed"
 
-    def test_failed_batched_unit_fails_every_point(self, tmp_path, monkeypatch):
+    def test_failed_batched_unit_fails_every_point(
+        self, tmp_path, monkeypatch, lockstep
+    ):
         from repro.simulation import BatchSimulator
 
         def boom(self, traces, **kwargs):
@@ -558,7 +561,7 @@ class TestScheduler:
         monkeypatch.setattr(BatchSimulator, "run_batch", boom)
         sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
-            job = sched.submit(quick_request(params={**QUICK, "engine": "batched"}))
+            job = sched.submit(quick_request())
             failed = sched.wait(job.job_id, timeout=120)
         finally:
             sched.stop()
@@ -698,6 +701,8 @@ class TestScheduler:
         )
         with monkeypatch.context() as m:
             m.setattr(runner_mod, "evaluate_scenario", stop_during_second_point)
+            # Evaluate point by point, never as one lockstep chunk.
+            m.setattr(runner_mod, "LOCKSTEP_MIN_WORK", math.inf)
             job_id = sched.submit(request).job_id
             deadline = time.monotonic() + 120
             while stopper.ident is None:
@@ -713,12 +718,23 @@ class TestScheduler:
         assert replay_ledger(events).state == "running"
         assert len(sched.cache_path.read_bytes().splitlines()) == 2
 
+        # A live start() requeues the parked job, as the next boot would.
+        sched.start()
+        try:
+            done = sched.wait(job_id, timeout=60)
+        finally:
+            sched.stop()
+        assert (done.state, done.resumed, done.cache_hits) == ("done", 1, 2)
+        assert sched.progress_json(job_id)["points_done"] == 4
+
         reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
         try:
-            done = reborn.wait(job_id, timeout=120)
+            rebooted = reborn.wait(job_id, timeout=120)
         finally:
             reborn.stop()
-        assert (done.state, done.resumed, done.cache_hits) == ("done", 1, 2)
+        assert (rebooted.state, rebooted.resumed, rebooted.cache_hits) == (
+            "done", 1, 2
+        )
         direct = Runner().run(scenario_family("saturation-sweep", **request["params"]))
         assert reborn.result_metrics(job_id) == [r.metrics for r in direct]
 
