@@ -3,9 +3,7 @@
 Not a paper figure: these records quantify the two wins of
 :class:`repro.simulation.BatchSimulator` — the vectorized per-cycle hot
 loop on a single run, and the amortization of one scenario family's
-shared state across a whole rate sweep. ``interpreter_sweep_16pt`` and
-``batch_engine_sweep_16pt`` time the *identical* 16-point 8x8 saturation
-family through both engines on prebuilt traces.
+shared state across a whole rate sweep.
 
 The ``sweep_e2e_16pt_*`` records time what a user waits for: one
 ``Runner.run`` of a 16-rate 8x8 saturation family on a fresh cache,
@@ -26,7 +24,7 @@ import numpy as np
 from repro.bench import benchmark_spec
 from repro.experiments import EvaluationCache, Runner, scenario_family
 from repro.experiments import runner as runner_mod
-from repro.simulation import BatchSimulator, Simulator
+from repro.simulation import BatchSimulator
 from repro.topology import RoutingTable, build_mesh
 from repro.traffic import PacketRecord, Trace
 
@@ -48,43 +46,6 @@ def _rate_trace(seed: int, rate: float) -> Trace:
             PacketRecord(int(rng.integers(0, SWEEP_WINDOW)), int(s), int(d), 1)
         )
     return Trace(N_NODES, records)
-
-
-def _sweep_fixture():
-    """Mesh, routing and the 16 family traces, built outside the timer —
-    both engines receive identical inputs."""
-    mesh = build_mesh(8, 8)
-    routing = RoutingTable(mesh)
-    traces = [
-        _rate_trace(1000 + i, rate) for i, rate in enumerate(SWEEP_RATES)
-    ]
-    return mesh, routing, traces
-
-
-@benchmark_spec(
-    "interpreter_sweep_16pt",
-    setup=_sweep_fixture,
-    points=len(SWEEP_RATES),
-    tags=("perf", "simulation", "smoke"),
-)
-def run_interpreter_sweep(fixture):
-    """16-point 8x8 saturation family, one interpreter run per point."""
-    mesh, routing, traces = fixture
-    sim = Simulator(mesh, routing)
-    return [sim.run(trace, max_cycles=2_000_000) for trace in traces]
-
-
-@benchmark_spec(
-    "batch_engine_sweep_16pt",
-    setup=_sweep_fixture,
-    points=len(SWEEP_RATES),
-    tags=("perf", "simulation", "smoke"),
-)
-def run_batch_engine_sweep(fixture):
-    """The same 16-point family as one amortized run_batch call."""
-    mesh, routing, traces = fixture
-    bsim = BatchSimulator(mesh, routing)
-    return bsim.run_batch(traces, max_cycles=2_000_000)
 
 
 def _e2e_family():
@@ -163,18 +124,6 @@ def run_batch_engine_single(fixture):
 def test_perf_batch_engine_single(run_bench):
     stats = run_bench("batch_engine_single_run")
     assert stats.drained
-
-
-def test_perf_sweep_amortization(run_bench):
-    """Both engines must produce bit-identical sweeps on prebuilt traces."""
-    ref = run_bench("interpreter_sweep_16pt")
-    got = run_bench("batch_engine_sweep_16pt")
-    assert len(ref) == len(got) == len(SWEEP_RATES)
-    for a, b in zip(ref, got):
-        assert a.drained and b.drained
-        assert a.cycles == b.cycles
-        assert np.array_equal(a.packet_latencies, b.packet_latencies)
-        assert np.array_equal(a.link_flit_counts, b.link_flit_counts)
 
 
 def test_perf_sweep_e2e_records_agree(run_bench):

@@ -8,12 +8,17 @@ both).
 
 Trace scales are simulation-budget bound; EXPERIMENTS.md records the
 scaling and the resulting paper-vs-measured ratios.
+
+``fig6_cli`` times what a reader of the paper waits for: ``Runner.run``
+at ``jobs=1`` of the scenario list ``repro fig6`` builds by default (CG
+at volume scale 3e-4, full iterations, on the mesh and at Hops = 3, 5,
+15), trace generation inside the timer, on a fresh cache.
 """
 
 import pytest
 
-from repro.bench import HEAVY_POLICY, benchmark_spec
-from repro.experiments import Runner, scenario_family
+from repro.bench import HEAVY_POLICY, RepeatPolicy, benchmark_spec
+from repro.experiments import EvaluationCache, Runner, scenario_family
 from repro.util import format_table
 
 KERNELS = ("FT", "CG", "MG", "LU")
@@ -49,6 +54,30 @@ def simulate_npb_grid():
         assert res.metrics["drained"], f"{kernel}@{name} undrained"
         out[kernel, name] = res.metrics["avg_latency"]
     return out
+
+
+def _fig6_cli_scenarios():
+    """``repro fig6``'s default scenario list, as specs only."""
+    return scenario_family(
+        "npb-kernels",
+        kernels=["CG"],
+        hops_options=HOPS_OPTIONS,
+        workloads={"CG": (3e-4, None)},
+    )
+
+
+@benchmark_spec(
+    "fig6_cli",
+    setup=_fig6_cli_scenarios,
+    points=len(HOPS_OPTIONS),
+    # About 20 s a run: a median of three, without a warmup.
+    policy=RepeatPolicy(warmup=0, min_repeats=3, max_repeats=3, min_runtime_s=0.0),
+    tags=("perf", "simulation"),
+)
+def run_fig6_cli(scenarios):
+    """``repro fig6`` (CG, four networks) end to end at jobs=1."""
+    results = Runner(jobs=1, cache=EvaluationCache()).run(scenarios)
+    return [res.metrics for res in results]
 
 
 def test_fig6_npb_latency(run_bench, save_result):

@@ -32,11 +32,16 @@ allocators and the credit protocol are inlined statements of one loop, not
 method calls on per-router objects. The batched engine
 (:mod:`repro.simulation.batch`) reads the same layout. Per cycle the loop
 touches only VCs whose head flit has left the router pipeline (one
-ready bitmask per router, set from per-cycle readiness buckets) and only
-sources with injection work, so cost scales with in-flight flits rather
-than network size; link flights are per-cycle buckets too, statistics are
-plain-int counters converted to numpy once at the end, and event-free
-stretches of the clock are fast-forwarded. All of this is observably
+ready bitmask per router, set from per-cycle readiness buckets), minus the
+heads parked on a credit-starved output port: a head whose VC request
+fails while every VC of its class range has zero credits is not scanned
+again until a credit return lifts one of that port's VCs from 0 to 1, and
+the round-robin advances its skipped requests would have made are counted
+arithmetically. Only sources with injection work are visited, so cost
+scales with in-flight flits rather than network size; link flights are
+per-cycle buckets too, statistics are plain-int counters converted to
+numpy once at the end, and event-free stretches of the clock (nothing
+buffered, parked heads included) are fast-forwarded. All of this is observably
 identical to the straightforward loop — scan order, round-robin state and
 link-arrival order are preserved bit-for-bit
 (``tests/unit/test_simulator_golden.py`` and
@@ -271,9 +276,10 @@ class Simulator:
             port_vc_lo=tuple([lo for lo, _ in r] for r in ranges),
             port_vc_span=tuple([hi - lo for lo, hi in r] for r in ranges),
         )
-        # The routing table's next-link LUT as a memoryview: indexing it
-        # yields plain ints without copying the n x n array.
-        self._route_lut = memoryview(self.routing.route_lut)
+        # The routing table's next-link LUT as one 1-D memoryview per
+        # router: indexing a row by destination yields a plain int without
+        # copying the n x n array.
+        self._route_rows = [memoryview(row) for row in self.routing.route_lut]
         # Per slot, its router and its bit in that router's ready mask.
         self._slot_node = [
             node
@@ -283,6 +289,15 @@ class Simulator:
         self._slot_bit = [
             1 << (s - slot_lo[node]) for s, node in enumerate(self._slot_node)
         ]
+        # Per dateline class and output port, the first allocatable
+        # output VC; per output VC of a link, the downstream slot its
+        # flits land in.
+        self._vc_first = tuple(
+            [p * v + lo for p, lo in enumerate(los)] for los in self.layout.port_vc_lo
+        )
+        self._vc_land = [link_slot[vc // v] + vc % v for vc in range(topo.n_links * v)]
+        # Per link (output port), the router that scans its requests.
+        self._port_owner = [l.src for l in links]
 
     def _fresh_state(self) -> _RunState:
         """Pristine run state (run() starts from a cold network)."""
@@ -392,7 +407,7 @@ class Simulator:
             _pns = time.perf_counter_ns
             _run_start = _pns()
             _ph_arr = _ph_inj = _ph_vc = _ph_sw = _ph_drain = 0
-            _iters = 0
+            _iters = _parked_scans = 0
         if control is not None and telemetry is None:
             from repro.telemetry.sampler import TelemetryConfig
 
@@ -435,11 +450,13 @@ class Simulator:
         link_cycles = lay.link_cycles
         link_express = lay.link_express
         link_row = lay.link_row
-        vc_lo = lay.port_vc_lo
+        vc_first = self._vc_first
         vc_span = lay.port_vc_span
         slot_node = self._slot_node
         slot_bit = self._slot_bit
-        route_lut = self._route_lut
+        route_rows = self._route_rows
+        vc_land = self._vc_land
+        port_owner = self._port_owner
         heappush = heapq.heappush
         heappop = heapq.heappop
         fifos, route, route_vc, credits, busy, vc_rr, sa_rr = self._fresh_state()
@@ -449,15 +466,28 @@ class Simulator:
         # order is the scan order. A flit that becomes a slot's head
         # before its ready cycle is entered in that cycle's bucket of
         # ready_at (cycle -> slots), which sets the bit when the cycle
-        # arrives. port_bit[i] is the input port of a router's i-th slot,
-        # as a bit of the switch allocator's input_used mask.
+        # arrives. input_slots[i] is the mask of the slots sharing the
+        # router's i-th slot's input port (the switch allocator grants
+        # one flit per input port).
         ready_mask = [0] * n_nodes
         ready_routers: set[int] = set()
         ready_at: defaultdict[int, list[int]] = defaultdict(list)
-        port_bit = [
-            1 << (i // n_vcs)
+        input_slots = [
+            ((1 << n_vcs) - 1) << (i - i % n_vcs)
             for i in range(max(b - a for a, b in zip(slot_lo, slot_lo[1:])))
         ]
+        # Parking: a head whose VC request fails while every VC of its
+        # class range has zero credits fails every cycle until a credit
+        # return lifts one of that port's VCs from 0 to 1, so its bit
+        # moves from ready_mask to parked[port] and the scan skips it
+        # until such a return wakes it. Each skipped scan would still have
+        # advanced vc_rr[port]: vc_rr[port] includes the parked heads'
+        # requests through cycle park_sync[port], a live requester at
+        # slot i adds the parked heads below i, and every change of the
+        # parked set syncs the count first (DESIGN §3b).
+        parked = [0] * n_links
+        park_sync = [0] * n_links
+        n_parked = 0
 
         # Per-packet state, indexed by packet id: trace packets in trace
         # order, then closed-loop packets in release order.
@@ -649,20 +679,24 @@ class Simulator:
             # visit order is observable and must be pinned for the two
             # engines to agree bit-for-bit. A head still in the router
             # pipeline never had a side effect in the scan, so walking
-            # only ready heads changes nothing observable.
-            for node in sorted(ready_routers):
+            # only ready heads changes nothing observable; a parked head's
+            # side effect is accounted arithmetically. A credit return that
+            # wakes a higher-numbered router's parked heads inserts that
+            # router into this cycle's visit order.
+            visit = sorted(ready_routers)
+            for node in visit:
                 m = ready_mask[node]
                 base = slot_lo[node]
+                lut_row = route_rows[node]
 
                 # VC allocation for ready head flits without a route; every
                 # ready flit with a route and downstream space requests its
-                # output port (requests: port -> the router's slot indices).
-                requests: dict[int, list[int]] = {}
+                # output port (requests: port -> mask of the router's slots).
+                requests: dict[int, int] = {}
                 while m:
                     low = m & -m
                     m ^= low
-                    i = low.bit_length() - 1
-                    s = base + i
+                    s = base + low.bit_length() - 1
                     port = route[s]
                     if port < 0:
                         head = fifos[s][0]
@@ -674,7 +708,7 @@ class Simulator:
                             port = n_links + node  # the ejection sink
                             out_vc = port * n_vcs
                         else:
-                            port = route_lut[node, dst]
+                            port = lut_row[dst]
                             # Dateline promotion happens when *requesting*
                             # the VC behind an express link, so the express
                             # input buffer itself is already a class-1
@@ -686,47 +720,71 @@ class Simulator:
                                 cls = cls_x[pid]
                             else:
                                 cls = cls_y[pid]
-                            lo = vc_lo[cls][port]
+                            k = vc_first[cls][port]
                             span = vc_span[cls][port]
                             rr = vc_rr[port]
-                            vc_rr[port] = (rr + 1) % n_vcs
-                            k = port * n_vcs + lo
+                            pk = parked[port]
+                            if pk:
+                                # Sync the parked heads' requests through
+                                # t - 1; this cycle's, from parked heads
+                                # below this slot, come before this one.
+                                c = (t - 1 - park_sync[port]) * pk.bit_count()
+                                if c:
+                                    rr += c
+                                    park_sync[port] = t - 1
+                                    if prof is not None:
+                                        _parked_scans += c
+                                vc_rr[port] = (rr + 1) % n_vcs
+                                rr = (rr + (pk & (low - 1)).bit_count()) % n_vcs
+                            else:
+                                vc_rr[port] = (rr + 1) % n_vcs
                             for off in range(span):
-                                j = (rr + off) % span
-                                if not busy[k + j] and credits[k + j] > 0:
-                                    busy[k + j] = True
-                                    out_vc = k + j
+                                out_vc = k + (rr + off) % span
+                                if credits[out_vc] > 0 and not busy[out_vc]:
+                                    busy[out_vc] = True
                                     break
                             else:
-                                continue  # every VC busy or out of credits
+                                # Every VC busy or out of credits. With no
+                                # credit in the class range, park: the
+                                # parked account counts this cycle's
+                                # request from here on, so undo its +1.
+                                if not credits[k] and not any(credits[k : k + span]):
+                                    vc_rr[port] = (vc_rr[port] - 1) % n_vcs
+                                    park_sync[port] = t - 1
+                                    parked[port] = pk | low
+                                    ready_mask[node] ^= low
+                                    n_parked += 1
+                                    if prof is not None:
+                                        _parked_scans -= 1
+                                continue
                         route[s] = port
                         route_vc[s] = out_vc
                     elif credits[route_vc[s]] <= 0:
                         # No downstream space (an ejection sink never
                         # spends credits, so its counters stay full).
                         continue
-                    cands = requests.get(port)
-                    if cands is None:
-                        requests[port] = [i]
-                    else:
-                        cands.append(i)
+                    requests[port] = requests.get(port, 0) | low
                 if prof is not None:
                     _t2 = _pns()
                     _ph_vc += _t2 - _t
                     _t = _t2
 
-                # Switch allocation: one flit per output, one per input.
-                input_used = 0
+                # Switch allocation: one flit per output, one per input
+                # port; the pick is the (sa_rr % n)-th requesting slot.
+                used = 0
                 for port, cands in requests.items():
-                    if input_used:
-                        cands = [i for i in cands if not input_used & port_bit[i]]
+                    if used:
+                        cands &= ~used
                         if not cands:
                             continue
-                    n_cands = len(cands)
+                    n_cands = cands.bit_count()
                     pick = sa_rr[port] % n_cands
                     sa_rr[port] = (pick + 1) % n_cands
-                    i = cands[pick]
-                    input_used |= port_bit[i]
+                    while pick:
+                        cands &= cands - 1
+                        pick -= 1
+                    i = (cands & -cands).bit_length() - 1
+                    used |= input_slots[i]
                     s = base + i
                     fifo = fifos[s]
                     flit = fifo.popleft()
@@ -745,9 +803,32 @@ class Simulator:
                     up = slot_up[s]
                     if up >= 0:
                         # Instant credit return to the upstream router.
-                        if credits[up] >= vc_depth:
+                        cr = credits[up]
+                        if cr >= vc_depth:
                             raise RuntimeError("credit overflow: flow-control bug")
-                        credits[up] += 1
+                        credits[up] = cr + 1
+                        if not cr:
+                            up_port = up // n_vcs
+                            pk = parked[up_port]
+                            if pk:
+                                # 0 -> 1: wake the port's parked heads. Their
+                                # owner scans after this router in this cycle
+                                # (sync through t - 1, visit it) or scanned
+                                # them already (sync through t).
+                                n_woken = pk.bit_count()
+                                owner = port_owner[up_port]
+                                now = t - 1 if node < owner else t
+                                c = (now - park_sync[up_port]) * n_woken
+                                vc_rr[up_port] = (vc_rr[up_port] + c) % n_vcs
+                                if prof is not None:
+                                    _parked_scans += c
+                                parked[up_port] = 0
+                                n_parked -= n_woken
+                                ready_mask[owner] |= pk
+                                if owner not in ready_routers:
+                                    ready_routers.add(owner)
+                                    if node < owner:
+                                        insort(visit, owner)
                     if port >= n_links:  # ejection
                         if is_tail:
                             lat = t + 1 - p_time[pid]
@@ -780,9 +861,7 @@ class Simulator:
                                 cls_x[pid] = 1
                             else:
                                 cls_y[pid] = 1
-                        flight[t + link_cycles[port]].append(
-                            (flit, link_slot[port] + out_vc - port * n_vcs)
-                        )
+                        flight[t + link_cycles[port]].append((flit, vc_land[out_vc]))
                         n_flight += 1
                 if not ready_mask[node]:
                     ready_routers.discard(node)
@@ -797,8 +876,8 @@ class Simulator:
                 if prof is not None:
                     _ph_drain += _pns() - _t
                 break
-            if not ready_routers and not ready_at and not inj_active:
-                # Nothing buffered (a buffered head is either ready or due
+            if not ready_routers and not ready_at and not inj_active and not n_parked:
+                # Nothing buffered (a buffered head is ready, parked or due
                 # in ready_at) and no source mid-packet: every cycle until
                 # the next link arrival or injection wake-up is a no-op,
                 # so fast-forward the clock to it (clamped to the budget).
@@ -827,6 +906,14 @@ class Simulator:
 
         if prof is not None:
             _final_start = _pns()
+        # Heads still parked at the cycle cap: settle their requests
+        # through the last cycle run, so vc_rr ends as a full scan leaves it.
+        for port, pk in enumerate(parked):
+            if pk:
+                c = (t - 1 - park_sync[port]) * pk.bit_count()
+                vc_rr[port] = (vc_rr[port] + c) % n_vcs
+                if prof is not None:
+                    _parked_scans += c
         latencies = np.asarray(lat_of, dtype=np.int64)
         latencies = latencies[latencies >= 0]
         telemetry_trace = None
@@ -859,4 +946,5 @@ class Simulator:
             prof.total_ns += _end - _run_start
             prof.bump("loop_iterations", _iters)
             prof.bump("sim_cycles", t)
+            prof.bump("parked_scans", _parked_scans)
         return stats

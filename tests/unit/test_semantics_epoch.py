@@ -22,7 +22,7 @@ DATA = pathlib.Path(__file__).resolve().parents[1] / "data"
 GOLDEN_SHA256 = {
     1: {
         "golden_simstats.json":
-            "593431027d78e8c49da48e9ce49322262c01377993d7d00fd99fd81b056e2d75",
+            "4dd16a916cfce8b8950c4cf921485a0c3289a04268bdd3453c7d30b2815fadf8",
         "golden_fig5a_analytical.json":
             "9c9bc5500bf36c282bde71603ac0e0ad25553001fa45f20c5278b9eccf74ef28",
         "golden_hooked_simstats.json":

@@ -75,6 +75,13 @@ def _scenarios() -> dict[str, tuple[Simulator, Trace, int]]:
             _random_trace(47, 120, flits=2),
             2_000_000,
         ),
+        # Shallow buffers on an odd VC split: heads park on credit-starved
+        # ports while live requesters of the same port share vc_rr.
+        "express-h5-3vc-starved": (
+            Simulator(h5, config=SimConfig(n_vcs=3, vc_depth=2)),
+            _random_trace(38, 600, flits=3, window=60),
+            20_000,
+        ),
     }
 
 
