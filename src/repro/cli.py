@@ -218,30 +218,23 @@ def _cmd_fig6(args: argparse.Namespace) -> None:
         )
 
 
-def _table6_row(entry: tuple[str, object]) -> list[object]:
-    """One Table VI row (module-level so process pools can pickle it)."""
-    from repro.optical import optimal_port_assignment
-
-    name, router = entry
-    lo, hi = router.loss_range_db()
-    _, expected = optimal_port_assignment(router)
-    return [
-        name,
-        router.control_energy_fj_per_bit(),
-        f"{lo:.2f}-{hi:.2f}",
-        router.area_um2(),
-        expected,
-    ]
-
-
 def _cmd_table6(args: argparse.Namespace) -> None:
-    from repro.experiments import Runner
-    from repro.optical import HYPPI_ROUTER, PHOTONIC_ROUTER
+    from repro.optical import HYPPI_ROUTER, PHOTONIC_ROUTER, optimal_port_assignment
     from repro.util import format_table
 
-    rows = Runner(jobs=args.jobs).map(
-        _table6_row, [("photonic", PHOTONIC_ROUTER), ("hyppi", HYPPI_ROUTER)]
-    )
+    rows = []
+    for name, router in (("photonic", PHOTONIC_ROUTER), ("hyppi", HYPPI_ROUTER)):
+        lo, hi = router.loss_range_db()
+        _, expected = optimal_port_assignment(router)
+        rows.append(
+            [
+                name,
+                router.control_energy_fj_per_bit(),
+                f"{lo:.2f}-{hi:.2f}",
+                router.area_um2(),
+                expected,
+            ]
+        )
     print(
         format_table(
             ["router", "control (fJ/bit)", "loss (dB)", "area (um2)",
@@ -274,7 +267,6 @@ def _cmd_fig8(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from repro.experiments import Runner, scenario_family
-    from repro.util import format_table
 
     rates = np.linspace(args.min_rate, args.max_rate, args.points)
     scenarios = scenario_family(
@@ -285,7 +277,19 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         drain_budget=args.drain_budget,
         seed=args.seed,
     )
-    results = Runner(jobs=args.jobs).run(scenarios)
+    _print_load_table(
+        Runner(jobs=args.jobs).run(scenarios),
+        "",
+        "offered load beyond network saturation",
+    )
+
+
+def _print_load_table(results: list, workload: str, note: str) -> None:
+    """The latency-vs-offered-load table of ``sweep`` and ``workload
+    sweep``; ``workload`` labels the title, and ``note`` says why a
+    SATURATED point did not drain."""
+    from repro.util import format_table
+
     rows = [
         [
             res.scenario.traffic.injection_rate,
@@ -300,14 +304,13 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         format_table(
             ["injection rate", "avg latency", "p99", "status"],
             rows,
-            title=f"latency vs offered load — {topo_name}",
+            title="latency vs offered load — "
+            + (f"{workload} on " if workload else "")
+            + topo_name,
         )
     )
     if any(not res.metrics["drained"] for res in results):
-        print(
-            "note: SATURATED points did not drain within the cycle budget "
-            "(offered load beyond network saturation)."
-        )
+        print(f"note: SATURATED points did not drain within the cycle budget ({note}).")
 
 
 def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
@@ -709,7 +712,6 @@ def _cmd_control_knee(args: argparse.Namespace) -> int:
 
 def _cmd_workload_sweep(args: argparse.Namespace) -> int:
     from repro.experiments import Runner, scenario_family
-    from repro.util import format_table
 
     rates = np.linspace(args.min_rate, args.max_rate, args.points)
     scenarios = scenario_family(
@@ -724,30 +726,11 @@ def _cmd_workload_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         **_parse_params(args.param),
     )
-    results = Runner(jobs=args.jobs).run(scenarios)
-    rows = [
-        [
-            res.scenario.traffic.injection_rate,
-            _fmt_latency(res.metrics["avg_latency"]),
-            _fmt_latency(res.metrics["p99_latency"]),
-            _status(res.metrics["drained"]),
-        ]
-        for res in results
-    ]
-    topo_name = results[0].metrics["topology_name"] if results else "mesh"
-    print(
-        format_table(
-            ["injection rate", "avg latency", "p99", "status"],
-            rows,
-            title=f"latency vs offered load — {args.model}/{args.traffic} "
-            f"on {topo_name}",
-        )
+    _print_load_table(
+        Runner(jobs=args.jobs).run(scenarios),
+        f"{args.model}/{args.traffic}",
+        "bursty models saturate at or below the Bernoulli point",
     )
-    if any(not res.metrics["drained"] for res in results):
-        print(
-            "note: SATURATED points did not drain within the cycle budget "
-            "(bursty models saturate at or below the Bernoulli point)."
-        )
     return 0
 
 
@@ -1368,7 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p6)
     p6.set_defaults(func=_cmd_fig6)
     p6t = sub.add_parser("table6", help="Table VI: optical routers")
-    _add_jobs_flag(p6t)
     p6t.set_defaults(func=_cmd_table6)
     p8 = sub.add_parser("fig8", help="Fig. 8: all-optical projections")
     p8.add_argument("--amortization-rate", type=float, default=0.001)

@@ -192,6 +192,54 @@ def paper_grid(
     return scenarios
 
 
+def _hops_topology(
+    base: Technology,
+    express: Technology,
+    hops: int,
+    width: int = 16,
+    height: int = 16,
+) -> TopologySpec:
+    """The plain mesh at ``hops == 0``, otherwise the express mesh.
+
+    The rule of the simulation families. :func:`paper_point` keeps its own
+    rule (plain when ``express is None``), so that an express point with
+    ``hops=0`` is rejected there instead of silently becoming a mesh.
+    """
+    if hops == 0:
+        return TopologySpec.plain(base, width=width, height=height)
+    return TopologySpec.express(base, express, hops, width=width, height=height)
+
+
+def _rate_points(
+    rates: Sequence[float],
+    seeds: Sequence[int],
+    topology: TopologySpec,
+    sim: SimSpec,
+    prefix: str,
+    generator: str,
+    /,
+    **params: object,
+) -> list[Scenario]:
+    """One simulation scenario per rate, the rate families' shared expander.
+
+    Point ``i`` offers ``rates[i]`` of ``generator`` traffic (with
+    ``params``) under workload seed ``seeds[i]``, and is named
+    ``{prefix}-r{rate:g}``.
+    """
+    return [
+        Scenario(
+            kind="simulation",
+            topology=topology,
+            traffic=TrafficSpec.make(
+                generator, injection_rate=float(rate), seed=seed, **params
+            ),
+            sim=sim,
+            name=f"{prefix}-r{float(rate):g}",
+        )
+        for rate, seed in zip(rates, seeds)
+    ]
+
+
 @register_family("saturation-sweep")
 def saturation_sweep(
     *,
@@ -213,34 +261,14 @@ def saturation_sweep(
     a point's trace is identical whether the sweep runs serially, on a
     process pool, or as a single re-evaluated scenario.
     """
-    topo = (
-        TopologySpec.plain(base_technology, width=width, height=height)
-        if hops == 0
-        else TopologySpec.express(
-            base_technology, express_technology, hops, width=width, height=height
-        )
+    return _rate_points(
+        rates,
+        [derive_seed(seed, i) for i in range(len(rates))],
+        _hops_topology(base_technology, express_technology, hops, width, height),
+        SimSpec(cycles=cycles, packet_flits=packet_flits, drain_budget=drain_budget),
+        traffic,
+        traffic,
     )
-    sim = SimSpec(
-        cycles=cycles,
-        packet_flits=packet_flits,
-        drain_budget=drain_budget,
-    )
-    scenarios = []
-    for i, rate in enumerate(rates):
-        scenarios.append(
-            Scenario(
-                kind="simulation",
-                topology=topo,
-                traffic=TrafficSpec.make(
-                    traffic,
-                    injection_rate=float(rate),
-                    seed=derive_seed(seed, i),
-                ),
-                sim=sim,
-                name=f"{traffic}-r{float(rate):g}",
-            )
-        )
-    return scenarios
 
 
 @register_family("workload-saturation")
@@ -272,35 +300,17 @@ def workload_saturation(
     locates how much headroom burstiness costs. Per-rate workload seeds
     derive from ``(seed, index)`` exactly like ``"saturation-sweep"``.
     """
-    topo = (
-        TopologySpec.plain(base_technology, width=width, height=height)
-        if hops == 0
-        else TopologySpec.express(
-            base_technology, express_technology, hops, width=width, height=height
-        )
+    return _rate_points(
+        rates,
+        [derive_seed(seed, i) for i in range(len(rates))],
+        _hops_topology(base_technology, express_technology, hops, width, height),
+        SimSpec(cycles=cycles, packet_flits=packet_flits, drain_budget=drain_budget),
+        f"{model}-{traffic}",
+        "workload",
+        model=model,
+        traffic=traffic,
+        **model_params,
     )
-    sim = SimSpec(
-        cycles=cycles,
-        packet_flits=packet_flits,
-        drain_budget=drain_budget,
-    )
-    return [
-        Scenario(
-            kind="simulation",
-            topology=topo,
-            traffic=TrafficSpec.make(
-                "workload",
-                injection_rate=float(rate),
-                seed=derive_seed(seed, i),
-                model=model,
-                traffic=traffic,
-                **model_params,
-            ),
-            sim=sim,
-            name=f"{model}-{traffic}-r{float(rate):g}",
-        )
-        for i, rate in enumerate(rates)
-    ]
 
 
 @register_family("telemetry-profile")
@@ -331,36 +341,22 @@ def telemetry_profile(
     8x8 mesh — profiling runs are longer than sweep points, and transient
     structure (bursts, phases) shows at small scale just as well.
     """
-    topo = (
-        TopologySpec.plain(base_technology, width=width, height=height)
-        if hops == 0
-        else TopologySpec.express(
-            base_technology, express_technology, hops, width=width, height=height
-        )
+    return _rate_points(
+        rates,
+        [derive_seed(seed, i) for i in range(len(rates))],
+        _hops_topology(base_technology, express_technology, hops, width, height),
+        SimSpec(
+            cycles=cycles,
+            packet_flits=packet_flits,
+            drain_budget=drain_budget,
+            telemetry_window=window,
+        ),
+        f"telemetry-{model}-{traffic}",
+        "workload",
+        model=model,
+        traffic=traffic,
+        **model_params,
     )
-    sim = SimSpec(
-        cycles=cycles,
-        packet_flits=packet_flits,
-        drain_budget=drain_budget,
-        telemetry_window=window,
-    )
-    return [
-        Scenario(
-            kind="simulation",
-            topology=topo,
-            traffic=TrafficSpec.make(
-                "workload",
-                injection_rate=float(rate),
-                seed=derive_seed(seed, i),
-                model=model,
-                traffic=traffic,
-                **model_params,
-            ),
-            sim=sim,
-            name=f"telemetry-{model}-{traffic}-r{float(rate):g}",
-        )
-        for i, rate in enumerate(rates)
-    ]
 
 
 @register_family("closed-loop-saturation")
@@ -396,40 +392,26 @@ def closed_loop_saturation(
     later, instead of jamming. ``controllers`` additionally attaches
     online adaptive control (requires ``telemetry_window > 0``).
     """
-    topo = (
-        TopologySpec.plain(base_technology, width=width, height=height)
-        if hops == 0
-        else TopologySpec.express(
-            base_technology, express_technology, hops, width=width, height=height
-        )
+    return _rate_points(
+        rates,
+        [derive_seed(seed, i) for i in range(len(rates))],
+        _hops_topology(base_technology, express_technology, hops, width, height),
+        SimSpec(
+            cycles=cycles,
+            packet_flits=packet_flits,
+            drain_budget=drain_budget,
+            telemetry_window=telemetry_window,
+            closed_loop_window=window,
+            think_cycles=think_cycles,
+            reply_flits=reply_flits,
+            controllers=tuple(controllers),
+        ),
+        f"closed-{model}-w{window}",
+        "workload",
+        model=model,
+        traffic=traffic,
+        **model_params,
     )
-    sim = SimSpec(
-        cycles=cycles,
-        packet_flits=packet_flits,
-        drain_budget=drain_budget,
-        telemetry_window=telemetry_window,
-        closed_loop_window=window,
-        think_cycles=think_cycles,
-        reply_flits=reply_flits,
-        controllers=tuple(controllers),
-    )
-    return [
-        Scenario(
-            kind="simulation",
-            topology=topo,
-            traffic=TrafficSpec.make(
-                "workload",
-                injection_rate=float(rate),
-                seed=derive_seed(seed, i),
-                model=model,
-                traffic=traffic,
-                **model_params,
-            ),
-            sim=sim,
-            name=f"closed-{model}-w{window}-r{float(rate):g}",
-        )
-        for i, rate in enumerate(rates)
-    ]
 
 
 @register_family("knee-search")
@@ -463,36 +445,22 @@ def knee_search(
     deduplicate across all of them. The default drain budget is modest
     on purpose: the detector, not budget exhaustion, is the verdict.
     """
-    topo = (
-        TopologySpec.plain(base_technology, width=width, height=height)
-        if hops == 0
-        else TopologySpec.express(
-            base_technology, express_technology, hops, width=width, height=height
-        )
+    return _rate_points(
+        rates,
+        [seed] * len(rates),
+        _hops_topology(base_technology, express_technology, hops, width, height),
+        SimSpec(
+            cycles=cycles,
+            packet_flits=packet_flits,
+            drain_budget=drain_budget,
+            telemetry_window=window,
+        ),
+        f"knee-{model}",
+        "workload",
+        model=model,
+        traffic=traffic,
+        **model_params,
     )
-    sim = SimSpec(
-        cycles=cycles,
-        packet_flits=packet_flits,
-        drain_budget=drain_budget,
-        telemetry_window=window,
-    )
-    return [
-        Scenario(
-            kind="simulation",
-            topology=topo,
-            traffic=TrafficSpec.make(
-                "workload",
-                injection_rate=float(rate),
-                seed=seed,
-                model=model,
-                traffic=traffic,
-                **model_params,
-            ),
-            sim=sim,
-            name=f"knee-{model}-r{float(rate):g}",
-        )
-        for rate in rates
-    ]
 
 
 @register_family("npb-kernels")
@@ -525,15 +493,10 @@ def npb_kernels(
         }
         if iterations is not None:
             params["iterations"] = iterations
-        topo = (
-            TopologySpec.plain(base_technology)
-            if hops == 0
-            else TopologySpec.express(base_technology, express_technology, hops)
-        )
         scenarios.append(
             Scenario(
                 kind="simulation",
-                topology=topo,
+                topology=_hops_topology(base_technology, express_technology, hops),
                 traffic=TrafficSpec.make("npb", injection_rate=0.0, **params),
                 sim=sim,
                 name=f"npb-{kernel.lower()}-{'mesh' if hops == 0 else f'h{hops}'}",

@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, TypeVar
+from typing import Any
 
 from repro.experiments.cache import EvaluationCache
 from repro.experiments.spec import Scenario, TopologySpec, scenario_hash
@@ -44,9 +44,6 @@ __all__ = [
     "evaluate_scenario",
     "simulate_scenario",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 #: Least points x nodes at which the planner runs a chunk of one family as
 #: one lockstep ``run_batch``, from the crossover in DESIGN.md §3b
@@ -183,6 +180,26 @@ def simulate_scenario(scenario: Scenario, *, profile: PhaseProfile | None = None
     return topo, stats
 
 
+def simulate_lockstep(
+    scenarios: Sequence[Scenario], *, profile: PhaseProfile | None = None
+):
+    """Run a lockstep chunk on the batched engine; ``(topology, [stats])``.
+
+    The batched engine's one evaluation recipe, beside
+    :func:`simulate_scenario`: the chunk's points share one topology and
+    simulator config (:meth:`Runner._plan` groups them so), their shared
+    :class:`~repro.simulation.BatchSimulator` is built once per process,
+    and each point brings its own trace and cycle budget. ``profile``
+    times the whole lockstep run.
+    """
+    spec, sim = scenarios[0].topology, scenarios[0].sim
+    topo, _ = _materialize(spec)
+    traces = [s.traffic.trace(topo, sim=s.sim) for s in scenarios]
+    caps = [s.sim.cycle_budget(s.traffic.trace_based) for s in scenarios]
+    bsim = _materialize_batched(spec, sim.sim_config())
+    return topo, bsim.run_batch(traces, max_cycles=caps, profile=profile)
+
+
 def _evaluate_simulation(
     scenario: Scenario, *, profile: PhaseProfile | None = None
 ) -> dict[str, Any]:
@@ -311,13 +328,8 @@ def _run_unit(
     inline and on the pool.
     """
     if engine == "batched":
-        spec, sim = scenarios[0].topology, scenarios[0].sim
-        topo, _ = _materialize(spec)
-        traces = [s.traffic.trace(topo, sim=s.sim) for s in scenarios]
-        caps = [s.sim.cycle_budget(s.traffic.trace_based) for s in scenarios]
-        bsim = _materialize_batched(spec, sim.sim_config())
         with span("runner.batch_group", points=len(scenarios)):
-            stats = bsim.run_batch(traces, max_cycles=caps)
+            topo, stats = simulate_lockstep(scenarios)
             metrics = [_sim_metrics(s, topo, st) for s, st in zip(scenarios, stats)]
         return metrics, [None] * len(scenarios)
     [scenario] = scenarios
@@ -672,18 +684,3 @@ class Runner:
         """Report ``event`` once for each point of ``unit``."""
         for i in unit.points:
             self._emit(event, point=i, **fields)
-
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        """Order-preserving map on this runner's executor.
-
-        A convenience for non-scenario work that should still honour
-        ``--jobs`` (e.g. the Table VI router evaluations). With
-        ``jobs > 1`` the callable and items must be picklable
-        (module-level function, plain-data arguments); results are not
-        cached.
-        """
-        items = list(items)
-        if self.jobs == 1 or len(items) < 2:
-            return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(items))) as pool:
-            return list(pool.map(fn, items))

@@ -104,36 +104,22 @@ class PhaseProfile:
 def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
     """Run ``scenario`` under both engines with profiling enabled.
 
-    Returns ``{"interpreter": PhaseProfile, "batched": PhaseProfile}``
-    (the batched entry is omitted for scenarios the batched engine cannot
-    run: ``SimSpec.can_lockstep`` is false for telemetry, closed-loop and
-    controller specs, as in the runner's planner). Imports lazily so
-    :mod:`repro.obs` never drags the simulation stack in at import time
-    (and stays cycle-free).
+    Returns ``{"interpreter": PhaseProfile, "batched": PhaseProfile}``.
+    Each half is the run the runner evaluates on that engine:
+    :func:`~repro.experiments.runner.simulate_scenario` (telemetry,
+    closed-loop and controller hooks included) and a one-point
+    :func:`~repro.experiments.runner.simulate_lockstep` chunk. The
+    batched entry is omitted where ``SimSpec.can_lockstep`` is false, as
+    in the runner's planner. Imports lazily so :mod:`repro.obs` never
+    drags the simulation stack in at import time (and stays cycle-free).
     """
-    from repro.experiments.runner import _materialize
-    from repro.simulation.batch import BatchSimulator
-    from repro.simulation.simulator import Simulator
+    from repro.experiments.runner import simulate_lockstep, simulate_scenario
 
-    if scenario.kind != "simulation" or scenario.sim is None:
-        raise ValueError(f"not a simulation scenario: {scenario.label}")
-    sim_spec = scenario.sim
-    topo, routing = _materialize(scenario.topology)
-    trace = scenario.traffic.trace(topo, sim=sim_spec)
-    max_cycles = sim_spec.cycle_budget(scenario.traffic.trace_based)
-    cfg = sim_spec.sim_config()
-
-    out: dict[str, PhaseProfile] = {}
-    prof_i = PhaseProfile(engine="interpreter")
-    Simulator(topo, routing, cfg).run(trace, max_cycles=max_cycles, profile=prof_i)
-    out["interpreter"] = prof_i
-
-    if sim_spec.can_lockstep:
-        prof_b = PhaseProfile(engine="batched")
-        BatchSimulator(topo, routing, cfg).run_batch(
-            [trace], max_cycles=max_cycles, profile=prof_b
-        )
-        out["batched"] = prof_b
+    out = {"interpreter": PhaseProfile(engine="interpreter")}
+    simulate_scenario(scenario, profile=out["interpreter"])
+    if scenario.sim.can_lockstep:
+        out["batched"] = PhaseProfile(engine="batched")
+        simulate_lockstep([scenario], profile=out["batched"])
     return out
 
 

@@ -104,7 +104,6 @@ class ExperimentScheduler:
     ``"jobs"`` hint is clamped to it). ``auto_start=False`` leaves the
     dispatcher stopped — used by tests that stage a "killed mid-run"
     state and by :meth:`resume`-style inspection tooling.
-    ``poll_interval`` paces :meth:`wait`.
     """
 
     def __init__(
@@ -113,7 +112,6 @@ class ExperimentScheduler:
         *,
         jobs: int = 1,
         auto_start: bool = True,
-        poll_interval: float = 0.02,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -126,12 +124,12 @@ class ExperimentScheduler:
         if legacy.exists():  # its entries carry no semantics epoch: not served
             _log.warning("ignoring pre-log cache file", extra=fields(path=str(legacy)))
         self.result_store = ResultStore(self.state_dir / "releases")
-        self._poll_interval = poll_interval
         self._lock = threading.RLock()
-        # A job publishes its terminal state inside its service.job span
-        # and its spans are captured only after that span closes;
-        # job_spans() waits on this for the job being executed.
-        self._spans_captured = threading.Condition(self._lock)
+        # Notified when a record changes (_apply) and when a job's spans
+        # are captured, which happens after its service.job span closes,
+        # so after the job published its terminal state. wait() and
+        # job_spans() wait on it.
+        self._changed = threading.Condition(self._lock)
         self._executing: str | None = None
         self._records: dict[str, JobRecord] = {}
         self._running: set[str] = set()  # ids of the running records
@@ -253,6 +251,7 @@ class ExperimentScheduler:
         progress gauges from the running records."""
         with self._lock:
             record.apply(event)
+            self._changed.notify_all()
             if record.state == "running":
                 self._running.add(record.job_id)
             else:
@@ -339,16 +338,15 @@ class ExperimentScheduler:
 
     def wait(self, job_id: str, timeout: float = 60.0) -> JobRecord:
         """Block until ``job_id`` reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-        while True:
+        with self._changed:
+            self.job(job_id)  # raises JobNotFound
+            done = self._changed.wait_for(
+                lambda: self._records[job_id].state in ("done", "failed"), timeout
+            )
             record = self.job(job_id)
-            if record.state in ("done", "failed"):
-                return record
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"{job_id} still {record.state} after {timeout:g}s"
-                )
-            time.sleep(self._poll_interval)
+        if not done:
+            raise TimeoutError(f"{job_id} still {record.state} after {timeout:g}s")
+        return record
 
     def result_metrics(self, job_id: str) -> list[dict[str, Any]]:
         """Ordered per-point metrics of a finished job.
@@ -532,7 +530,7 @@ class ExperimentScheduler:
             if job_id not in self._records:
                 raise JobNotFound(job_id)
             if self._records[job_id].state in ("done", "failed"):
-                self._spans_captured.wait_for(
+                self._changed.wait_for(
                     lambda: self._executing != job_id, timeout=30.0
                 )
             return list(self._job_spans.get(job_id, []))
@@ -577,7 +575,7 @@ class ExperimentScheduler:
         with self._lock:
             self._job_spans[job_id] = take_spans()
             self._executing = None
-            self._spans_captured.notify_all()
+            self._changed.notify_all()
 
     def _fail(self, record: JobRecord, exc: Exception, duration_s: float) -> None:
         """Fail a job whose execution raised.

@@ -25,10 +25,9 @@ How the vectorized pass stays exact:
 
 * **Shared family state.** The interpreter's slot and output-port
   layout (:class:`~repro.simulation.simulator.SlotLayout`: slot order,
-  upstream credit targets, dateline VC ranges, link tables), the
-  routing table's next-link LUT and per-flit energy figures are turned
-  into arrays once per (topology, config) *family* and shared by every
-  run in every batch.
+  upstream credit targets, dateline VC ranges, link tables) and the
+  routing table's next-link LUT are turned into arrays once per
+  (topology, config) *family* and shared by every run in every batch.
 * **Batch lockstep.** Per-(run, router, port, VC) state lives in arrays
   of shape ``(B, slots)``; one pass over those arrays advances all runs
   by one cycle. Runs keep independent clocks (idle stretches are
@@ -122,35 +121,6 @@ class _Family:
 
         # The routing table's dense next-link LUT, shared by every run.
         self.route_lut = routing.route_lut
-
-        self._energy_weights: tuple[list[float], list[float]] | None = None
-        self.topology = topo
-
-    def energy_weights(self) -> tuple[list[float], list[float]]:
-        """Per-flit dynamic energy figures (router, link), cached once.
-
-        The DSENT evaluations behind
-        :func:`repro.analysis.power.dynamic_energy_from_counts` are
-        re-run per call there; a family computes them exactly once.
-        """
-        if self._energy_weights is None:
-            from repro.analysis import power as _power
-
-            topo = self.topology
-            router_jpf = [
-                _power.evaluate_router(
-                    _power.router_config_for_node(topo, node)
-                ).dynamic_j_per_flit
-                for node in range(topo.n_nodes)
-            ]
-            link_jpf = [
-                _power.evaluate_link(
-                    _power.link_config_for(topo, link_id)
-                ).dynamic_j_per_flit
-                for link_id in range(topo.n_links)
-            ]
-            self._energy_weights = (router_jpf, link_jpf)
-        return self._energy_weights
 
 
 class _BatchState:
@@ -412,25 +382,6 @@ class BatchSimulator:
             prof.bump("lockstep_iterations", _iters)
             prof.bump("run_cycles", _run_cycles)
         return out
-
-    def dynamic_energy_j(self, stats: SimStats):
-        """Family-cached per-flit energy accumulation.
-
-        Bit-identical to
-        :func:`repro.simulation.energy.sim_dynamic_energy_j` (same
-        component order and float operations), but the DSENT per-flit
-        figures are evaluated once per family instead of once per call.
-        """
-        from repro.analysis.power import NetworkEnergy
-
-        router_jpf, link_jpf = self.family.energy_weights()
-        router_j = 0.0
-        for node, jpf in enumerate(router_jpf):
-            router_j += float(stats.router_flit_counts[node]) * jpf
-        link_j = 0.0
-        for link_id, jpf in enumerate(link_jpf):
-            link_j += float(stats.link_flit_counts[link_id]) * jpf
-        return NetworkEnergy(router_dynamic_j=router_j, link_dynamic_j=link_j)
 
     # -- phase 1: link arrivals ---------------------------------------
 

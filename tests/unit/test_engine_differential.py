@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import NocExperimentConfig
 from repro.experiments import (
     Runner,
     Scenario,
@@ -23,6 +24,8 @@ from repro.experiments import (
     TopologySpec,
     TrafficSpec,
     evaluate_scenario,
+    family_names,
+    paper_point,
     scenario_family,
     scenario_from_json,
     scenario_hash,
@@ -123,23 +126,6 @@ class TestEngineEquivalence:
         ref = Simulator(topo).run(trace, max_cycles=100)
         got = BatchSimulator(topo).run(trace, max_cycles=100)
         _assert_stats_equal(ref, got)
-
-    def test_dynamic_energy_matches_interpreter_recipe(self):
-        from repro.simulation import sim_dynamic_energy_j
-
-        topo = build_mesh(4, 4)
-        rng = np.random.default_rng(5)
-        records = []
-        for _ in range(40):
-            s, d = rng.choice(topo.n_nodes, size=2, replace=False)
-            records.append(PacketRecord(int(rng.integers(0, 50)), int(s), int(d), 2))
-        trace = Trace(topo.n_nodes, records)
-        bsim = BatchSimulator(topo)
-        stats = bsim.run(trace, max_cycles=2_000_000)
-        ref = sim_dynamic_energy_j(topo, stats)
-        got = bsim.dynamic_energy_j(stats)
-        assert got.router_dynamic_j == pytest.approx(ref.router_dynamic_j)
-        assert got.link_dynamic_j == pytest.approx(ref.link_dynamic_j)
 
 
 def _family(rates=(0.05, 0.1, 0.15), **sim):
@@ -417,6 +403,133 @@ PINNED_KEYS = {
 }
 
 
+_SMALL = NocExperimentConfig(width=6, height=6, express_hops_options=(2,))
+_T = Technology
+
+#: Non-default knobs of every registered family, for :data:`FAMILY_PINS`.
+FAMILY_PARAMS = {
+    "paper-grid": dict(
+        config=_SMALL, injection_rate=0.05, seed=4,
+        base_technologies=(_T.PHOTONIC,), express_technologies=(_T.HYPPI,),
+        hops_options=(2, 4),
+    ),
+    "saturation-sweep": dict(
+        rates=[0.03, 0.21], hops=3, base_technology=_T.PHOTONIC,
+        express_technology=_T.PLASMONIC, traffic="transpose", width=6, height=5,
+        cycles=321, packet_flits=2, drain_budget=999, seed=11,
+    ),
+    "workload-saturation": dict(
+        rates=[0.07, 0.3], model="onoff", traffic="transpose", hops=2,
+        base_technology=_T.PLASMONIC, express_technology=_T.PHOTONIC, width=5,
+        height=5, cycles=400, packet_flits=3, drain_budget=5000, seed=9,
+        duty=0.4, burst_len=8.0,
+    ),
+    "telemetry-profile": dict(
+        rates=(0.15, 0.25), model="pareto", traffic="transpose", hops=3,
+        base_technology=_T.PHOTONIC, express_technology=_T.HYPPI, width=6,
+        height=6, cycles=900, window=64, packet_flits=2, drain_budget=3000,
+        seed=8, alpha=1.7,
+    ),
+    "closed-loop-saturation": dict(
+        rates=[0.2, 0.4], window=3, think_cycles=5, reply_flits=2, model="onoff",
+        traffic="transpose", hops=2, base_technology=_T.PHOTONIC,
+        express_technology=_T.HYPPI, width=5, height=4, cycles=700,
+        packet_flits=2, drain_budget=4000, telemetry_window=32,
+        controllers=("throttle",), seed=6, duty=0.5,
+    ),
+    "knee-search": dict(
+        rates=[0.3, 0.5], model="onoff", traffic="transpose", hops=4,
+        base_technology=_T.PHOTONIC, express_technology=_T.HYPPI, width=6,
+        height=6, cycles=1500, window=64, packet_flits=2, drain_budget=9000,
+        seed=13, duty=0.6,
+    ),
+    "npb-kernels": dict(
+        kernels=("mg", "LU"), hops_options=(0, 5), base_technology=_T.PHOTONIC,
+        express_technology=_T.PLASMONIC,
+        workloads={"MG": (1e-3, 2), "LU": (2e-3, None)}, max_cycles=77_777,
+    ),
+    "all-optical-projection": dict(
+        amortization_injection_rate=0.002, injection_rate=0.2, seed=5, width=8,
+        height=8, core_spacing_m=2e-3,
+    ),
+}
+
+#: ``(scenario_hash, name)`` of each point of ``paper_point`` and of every
+#: registered family on the knobs above, recorded before the rate families
+#: shared one expander. Names are pinned too: they go into release bytes.
+FAMILY_PINS = {
+    "paper_point": [
+        ("699ac0a50003a7b85a38502235dcf60762e8abddae0ac10f0401818c850b999b",
+         "photonic-mesh (plain)"),
+        ("ab45ef0a3ea4263f64f005a19882d4f48d8c2a4b3a1634c6f29a42cd92515f31",
+         "plasmonic-base + hyppi x2"),
+    ],
+    "paper-grid": [
+        ("1df83cda3ca278be9f896caf0c992669165dcf60dab93298565c1b2bbdf19d3f",
+         "photonic-mesh (plain)"),
+        ("7fc3fcab2247764d9fb33641c269ae143070a1a9347f77696600828b3d442d2f",
+         "photonic-base + hyppi x2"),
+        ("0a1cc69d295d88167c40f9c98caf165ef68bd860dad62f88d2a51605cfbb2b1f",
+         "photonic-base + hyppi x4"),
+    ],
+    "saturation-sweep": [
+        ("e72fca1649b59371b47a0e4cc22e94d0cc8c546b3559d77e3b3537d4e66fa5b9",
+         "transpose-r0.03"),
+        ("01f0cb079042342b5f8c3eddff3deb98eb92ed6d27b167dddbdcba86b4e4e3f0",
+         "transpose-r0.21"),
+    ],
+    "workload-saturation": [
+        ("38b17b956e35c35e47438a93a15ae1295352cef09b21b2aa1e4df8228d3a8a5e",
+         "onoff-transpose-r0.07"),
+        ("9d58a2c17d453a17e5b0f97c7d8dad2250d89b1ba2a67a12a6e7711ee75d5872",
+         "onoff-transpose-r0.3"),
+    ],
+    "telemetry-profile": [
+        ("e203b536a4a5f46ce7c25ae187b1cbbd2e524c4fab7c373d416bb2b0a48a07d1",
+         "telemetry-pareto-transpose-r0.15"),
+        ("6bbd35dbe93ca87502e40de63d24b78fcbedbeb8852ab81a89a5e0babc18cab3",
+         "telemetry-pareto-transpose-r0.25"),
+    ],
+    "closed-loop-saturation": [
+        ("fdea0e4d4f4365eaa650e9272d2a66799306e4ae7ec9c849cc41fb21919a1382",
+         "closed-onoff-w3-r0.2"),
+        ("406db31ec326a063b08a6dbe548864b7e310d0a3a4e7eb53f2826aa3d2a46a24",
+         "closed-onoff-w3-r0.4"),
+    ],
+    "knee-search": [
+        ("3b449d237085dd11881d99e99a5a6479598f08fca5ac19fc8b84957be2894961",
+         "knee-onoff-r0.3"),
+        ("7373d890ff9edfa20475f6b956ece8499b28e8b1e0caf7222538ae57279b3812",
+         "knee-onoff-r0.5"),
+    ],
+    "npb-kernels": [
+        ("795bf87157024f92fc47330c39d4056c0f956d0d74c7835e91f7bc869a527613",
+         "npb-mg-mesh"),
+        ("7ace14431fb1c017c8d402ac51bceb28eec054faf3bdd37e359989ec455ebe0e",
+         "npb-mg-h5"),
+        ("00255aff86f987f838fbb3b32cbc735ca7a4e9a506f97da8b43c8014498578bb",
+         "npb-lu-mesh"),
+        ("70ea5cbe9b998dab3569fcc90fc5ac7b500c66cfa3726e1a43b4b6f0020bd82d",
+         "npb-lu-h5"),
+    ],
+    "all-optical-projection": [
+        ("649c17285b9bdb91e3b5ada01da253802f526592aa5b3a760974e77bf1f58c62",
+         "all-optical-projection"),
+    ],
+}
+
+
+def _pinned_family(name):
+    if name == "paper_point":
+        return [
+            paper_point(_T.PHOTONIC, None, 0, config=_SMALL, injection_rate=0.07, seed=2),
+            paper_point(
+                _T.PLASMONIC, _T.HYPPI, 2, config=_SMALL, injection_rate=0.07, seed=2
+            ),
+        ]
+    return scenario_family(name, **FAMILY_PARAMS[name])
+
+
 def _pinned_sweep(**params):
     return scenario_family(
         "saturation-sweep",
@@ -431,7 +544,6 @@ def _pinned_sweep(**params):
 
 class TestContentKeys:
     def test_content_keys_are_pinned(self):
-        from repro.experiments import paper_point
         from repro.service import sweep_hash
 
         point = paper_point(Technology.ELECTRONIC, Technology.HYPPI, 3)
@@ -441,6 +553,14 @@ class TestContentKeys:
         [npb] = scenario_family("npb-kernels", kernels=("CG",), hops_options=(3,))
         assert scenario_hash(npb) == PINNED_KEYS["npb-kernels"]
         assert sweep_hash(hashes) == PINNED_KEYS["sweep_hash"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PINS))
+    def test_family_keys_and_names_are_pinned(self, family):
+        got = [(scenario_hash(s), s.name) for s in _pinned_family(family)]
+        assert got == FAMILY_PINS[family]
+
+    def test_every_family_is_pinned(self):
+        assert set(FAMILY_PINS) == {"paper_point", *family_names()}
 
     def test_legacy_engine_hashes_to_its_interpreter_twin(self):
         twins = _pinned_sweep()

@@ -34,10 +34,6 @@ def small_grid():
     return scenario_family("paper-grid", config=SMALL)
 
 
-def _double(x):  # module-level so ProcessPoolExecutor can pickle it
-    return 2 * x
-
-
 class TestTopologySpec:
     def test_plain_builds(self):
         topo = TopologySpec.plain(Technology.ELECTRONIC, width=4, height=4).build()
@@ -262,11 +258,6 @@ class TestRunner:
             r.metrics for r in Runner(jobs=1).run(scenarios)
         ]
         assert [r.scenario for r in results] == scenarios
-
-    def test_map_serial_matches_parallel(self):
-        items = list(range(6))
-        assert Runner(jobs=1).map(_double, items) == [2 * i for i in items]
-        assert Runner(jobs=3).map(_double, items) == [2 * i for i in items]
 
     def test_simulation_scenario_metrics(self):
         (scenario,) = scenario_family(

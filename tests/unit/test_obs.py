@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.experiments import Runner, scenario_family
+from repro.experiments import Runner, scenario_family, simulate_scenario
 from repro.obs import (
     Counter,
     MetricsRegistry,
@@ -366,7 +366,8 @@ class TestProfile:
     )
     def test_telemetry_scenarios_are_interpreter_only(self, lockstep, features):
         """Points using a hooked feature run on the interpreter, by the
-        same rule in the profiler and the planner, even in a wide group."""
+        same rule in the profiler and the planner, even in a wide group;
+        the profiler profiles the run the runner evaluates, hooks and all."""
         scenarios = [
             replace(s, sim=replace(s.sim, **features))
             for s in scenario_family(
@@ -376,6 +377,8 @@ class TestProfile:
         ]
         profiles = profile_simulation(scenarios[0])
         assert set(profiles) == {"interpreter"}
+        _, stats = simulate_scenario(scenarios[0])
+        assert profiles["interpreter"].counts["sim_cycles"] == stats.cycles
         events = []
         Runner(observer=events.append).run(scenarios)
         done = [ev["engine"] for ev in events if ev["event"] == "point.completed"]

@@ -270,7 +270,7 @@ class TestResultStore:
 
 class TestScheduler:
     def test_submit_runs_and_matches_direct_runner(self, tmp_path):
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             record = sched.submit(quick_request())
             done = sched.wait(record.job_id, timeout=120)
@@ -284,7 +284,7 @@ class TestScheduler:
             sched.stop()
 
     def test_duplicate_submission_is_all_cache_hits(self, tmp_path):
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             first = sched.submit(quick_request())
             second = sched.submit(quick_request())
@@ -307,6 +307,28 @@ class TestScheduler:
         record = sched.submit(quick_request())
         with pytest.raises(JobNotDone):
             sched.result_metrics(record.job_id)
+
+    def test_wait_times_out_and_wakes_on_the_terminal_event(self, tmp_path):
+        """A job nobody runs times out with its state; a waiter blocked
+        before the dispatcher starts wakes when the job ends."""
+        sched = ExperimentScheduler(tmp_path, auto_start=False)
+        record = sched.submit(quick_request())
+        with pytest.raises(TimeoutError, match=f"{record.job_id} still queued after 0.05s"):
+            sched.wait(record.job_id, timeout=0.05)
+        with pytest.raises(JobNotFound):
+            sched.wait("job-999999", timeout=0.05)
+        got = []
+        waiter = threading.Thread(
+            target=lambda: got.append(sched.wait(record.job_id, timeout=120))
+        )
+        waiter.start()
+        sched.start()
+        try:
+            waiter.join(timeout=120)
+            assert not waiter.is_alive()
+            assert [r.state for r in got] == ["done"]
+        finally:
+            sched.stop()
 
     def test_invalid_submit_persists_nothing(self, tmp_path):
         sched = ExperimentScheduler(tmp_path, auto_start=False)
@@ -346,7 +368,7 @@ class TestScheduler:
             ledger.append("job.running")
             ledger.append("point.completed", point=0, cached=False)
 
-        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        reborn = ExperimentScheduler(tmp_path)
         try:
             done = reborn.wait(record.job_id, timeout=120)
             assert done.state == "done"
@@ -382,7 +404,7 @@ class TestScheduler:
         before = legacy.read_bytes()
         stream = io.StringIO()
         setup_logging("warning", stream=stream)
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             done = sched.wait(sched.submit(quick_request()).job_id, timeout=120)
             assert done.state == "done"
@@ -410,7 +432,7 @@ class TestScheduler:
             ledger.append("job.running")
             ledger.append("point.completed", point=0, cached=False)
 
-        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        reborn = ExperimentScheduler(tmp_path)
         try:
             done = reborn.wait(record.job_id, timeout=120)
         finally:
@@ -438,7 +460,7 @@ class TestScheduler:
         def boom(scenario, **kwargs):
             raise RuntimeError("boom")
 
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         done = sched.wait(sched.submit(quick_request()).job_id, timeout=120)
         with monkeypatch.context() as m:
             m.setattr(runner_mod, "evaluate_scenario", boom)
@@ -458,7 +480,7 @@ class TestScheduler:
         assert failed.duration_s is not None
         before = {d["job_id"]: d for d in sched.audit_json()}
 
-        reborn = ExperimentScheduler(tmp_path, auto_start=False, poll_interval=0.005)
+        reborn = ExperimentScheduler(tmp_path, auto_start=False)
         after = {d["job_id"]: d for d in reborn.audit_json()}
         assert after[done.job_id] == before[done.job_id]
         assert after[failed.job_id] == before[failed.job_id]
@@ -514,7 +536,7 @@ class TestScheduler:
             assert sched.wait(job_id, timeout=120).state == "done"
             sched.job_spans(job_id)  # returns once the job left the dispatcher
 
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             run_job()
             before = open_fds()
@@ -535,7 +557,7 @@ class TestScheduler:
             return append(ledger, event, **data)
 
         monkeypatch.setattr(RunLedger, "append", flaky_append)
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             first = sched.submit(quick_request())
             second = sched.submit(quick_request())
@@ -559,7 +581,7 @@ class TestScheduler:
             raise RuntimeError("lockstep boom")
 
         monkeypatch.setattr(BatchSimulator, "run_batch", boom)
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             job = sched.submit(quick_request())
             failed = sched.wait(job.job_id, timeout=120)
@@ -586,7 +608,7 @@ class TestScheduler:
             return append(ledger, event, **data)
 
         monkeypatch.setattr(RunLedger, "append", slow_append)
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             request = quick_request(params={"rates": [0.05, 0.1, 0.15], "cycles": 300})
             job_id = sched.submit(request).job_id
@@ -607,7 +629,7 @@ class TestScheduler:
     def test_job_spans_capture_the_runner_trace(self, tmp_path):
         from repro.obs import export_trace
 
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             record = sched.submit(quick_request())
             sched.wait(record.job_id, timeout=120)
@@ -643,7 +665,7 @@ class TestScheduler:
             close(ledger)
 
         monkeypatch.setattr(RunLedger, "close", slow_close)
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             record = sched.submit(quick_request())
             sched.wait(record.job_id, timeout=120)
@@ -668,7 +690,7 @@ class TestScheduler:
             return evaluate(scenario, **kwargs)
 
         monkeypatch.setattr(runner_mod, "evaluate_scenario", note_threads)
-        sched = ExperimentScheduler(tmp_path, jobs=1, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path, jobs=1)
         try:
             job_id = sched.submit(quick_request()).job_id
             assert sched.wait(job_id, timeout=120).state == "done"
@@ -683,7 +705,7 @@ class TestScheduler:
         import repro.experiments.runner as runner_mod
 
         evaluate = runner_mod.evaluate_scenario
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         stopper = threading.Thread(target=sched.stop)
         calls = []
 
@@ -727,7 +749,7 @@ class TestScheduler:
         assert (done.state, done.resumed, done.cache_hits) == ("done", 1, 2)
         assert sched.progress_json(job_id)["points_done"] == 4
 
-        reborn = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        reborn = ExperimentScheduler(tmp_path)
         try:
             rebooted = reborn.wait(job_id, timeout=120)
         finally:
@@ -747,7 +769,7 @@ class TestScheduler:
         assert sched.jobs_by_state() == {"queued": 1}
 
     def test_cold_result_metrics_read_from_release(self, tmp_path):
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         try:
             record = sched.submit(quick_request())
             sched.wait(record.job_id, timeout=120)
@@ -788,7 +810,7 @@ class TestWindowRows:
 class TestApiRouting:
     @pytest.fixture
     def api(self, tmp_path):
-        sched = ExperimentScheduler(tmp_path, poll_interval=0.005)
+        sched = ExperimentScheduler(tmp_path)
         yield ExperimentApi(sched)
         sched.stop()
 
