@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.analysis.flows import FlowAssignment, assign_flows
+from repro.analysis.flows import assign_flows
 from repro.dsent.link_model import LinkFigures, NocLinkConfig, NocLinkModel
 from repro.dsent.router_model import RouterConfig, RouterPowerArea
 from repro.topology.graph import LinkKind, Topology
@@ -100,6 +101,77 @@ def link_config_for(topo: Topology, link_id: int) -> NocLinkConfig:
     )
 
 
+class _FigureColumns(NamedTuple):
+    """Every component's cached DSENT figures as float64 columns.
+
+    Router columns are indexed by node id, link columns by link id.
+    """
+
+    router_static_w: np.ndarray
+    router_dynamic_j: np.ndarray
+    router_area_m2: np.ndarray
+    link_static_w: np.ndarray
+    link_dynamic_j: np.ndarray
+    link_area_m2: np.ndarray
+
+
+_FIGURES = ("static_w", "dynamic_j_per_flit", "area_m2")
+
+
+def _classes(keys: list) -> tuple[list[int], np.ndarray]:
+    """The first position of each distinct key, and every position's class."""
+    first: dict = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    number = {key: c for c, key in enumerate(first)}
+    return list(first.values()), np.fromiter(
+        map(number.__getitem__, keys), dtype=np.intp, count=len(keys)
+    )
+
+
+def _figure_columns(topo: Topology) -> _FigureColumns:
+    """``topo``'s figure columns, one DSENT evaluation per component class.
+
+    A router's configuration depends only on its count of distinct
+    express neighbours, and a link's only on ``(technology, length_m,
+    kind)``. Each class is evaluated once, for its first member, and the
+    figures are broadcast to every component (a uniform express mesh has
+    two link classes and at most three router classes).
+    """
+    express = LinkKind.EXPRESS
+    neighbours = {(l.src, l.dst) for l in topo.links if l.kind is express}
+    express_ports = np.bincount(
+        np.fromiter((src for src, _ in neighbours), dtype=np.intp),
+        minlength=topo.n_nodes,
+    )
+    router_reps, router_class = _classes(express_ports.tolist())
+    link_reps, link_class = _classes(
+        [(l.technology, l.length_m, l.kind) for l in topo.links]
+    )
+    router_figs = [
+        evaluate_router(router_config_for_node(topo, node)) for node in router_reps
+    ]
+    link_figs = [evaluate_link(link_config_for(topo, i)) for i in link_reps]
+
+    def column(figs: list, cls: np.ndarray, name: str) -> np.ndarray:
+        return np.array([getattr(f, name) for f in figs], dtype=np.float64)[cls]
+
+    return _FigureColumns(
+        *(column(router_figs, router_class, name) for name in _FIGURES),
+        *(column(link_figs, link_class, name) for name in _FIGURES),
+    )
+
+
+def _ordered_sum(terms: np.ndarray) -> np.float64:
+    """``0.0 + terms[0] + terms[1] + ...`` left to right, as a loop adds.
+
+    ``np.sum`` adds pairwise and can differ in the last bit; the running
+    sum of ``np.cumsum`` keeps every roll-up bit-identical to the
+    per-component loop it replaced.
+    """
+    return np.cumsum(terms)[-1] if terms.size else np.float64(0.0)
+
+
 def per_flit_energies(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
     """``(router_j_per_flit, link_j_per_flit)`` vectors over ``topo``.
 
@@ -108,23 +180,8 @@ def per_flit_energies(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
     by link id). Telemetry converts windowed flit counts into energy
     series with a single matrix product against these.
     """
-    router_j = np.fromiter(
-        (
-            evaluate_router(router_config_for_node(topo, node)).dynamic_j_per_flit
-            for node in range(topo.n_nodes)
-        ),
-        dtype=np.float64,
-        count=topo.n_nodes,
-    )
-    link_j = np.fromiter(
-        (
-            evaluate_link(link_config_for(topo, link_id)).dynamic_j_per_flit
-            for link_id in range(topo.n_links)
-        ),
-        dtype=np.float64,
-        count=topo.n_links,
-    )
-    return router_j, link_j
+    cols = _figure_columns(topo)
+    return cols.router_dynamic_j, cols.link_dynamic_j
 
 
 def dynamic_energy_from_counts(
@@ -141,15 +198,13 @@ def dynamic_energy_from_counts(
     summed window counts equal the run totals yields a **bit-identical**
     energy figure.
     """
-    router_j = 0.0
-    for node in range(topo.n_nodes):
-        fig = evaluate_router(router_config_for_node(topo, node))
-        router_j += float(router_counts[node]) * fig.dynamic_j_per_flit
-    link_j = 0.0
-    for link_id in range(topo.n_links):
-        fig = evaluate_link(link_config_for(topo, link_id))
-        link_j += float(link_counts[link_id]) * fig.dynamic_j_per_flit
-    return NetworkEnergy(router_dynamic_j=router_j, link_dynamic_j=link_j)
+    cols = _figure_columns(topo)
+    router_j = np.asarray(router_counts, dtype=np.float64) * cols.router_dynamic_j
+    link_j = np.asarray(link_counts, dtype=np.float64) * cols.link_dynamic_j
+    return NetworkEnergy(
+        router_dynamic_j=float(_ordered_sum(router_j)),
+        link_dynamic_j=float(_ordered_sum(link_j)),
+    )
 
 
 @dataclass(frozen=True)
@@ -192,12 +247,10 @@ class NetworkEnergy:
 
 def network_static_power_w(topo: Topology) -> float:
     """Total static power of routers + all link directions (Table IV)."""
-    total = 0.0
-    for node in range(topo.n_nodes):
-        total += evaluate_router(router_config_for_node(topo, node)).static_w
-    for link_id in range(topo.n_links):
-        total += evaluate_link(link_config_for(topo, link_id)).static_w
-    return total
+    cols = _figure_columns(topo)
+    return float(
+        _ordered_sum(np.concatenate((cols.router_static_w, cols.link_static_w)))
+    )
 
 
 def network_power(
@@ -215,36 +268,23 @@ def network_power(
     if clock_hz <= 0:
         raise ValueError(f"clock must be > 0, got {clock_hz}")
     flows = assign_flows(topo, traffic, routing)
-
-    router_static = 0.0
-    router_dynamic = 0.0
-    for node in range(topo.n_nodes):
-        rf = evaluate_router(router_config_for_node(topo, node))
-        router_static += rf.static_w
-        router_dynamic += flows.router_flow[node] * clock_hz * rf.dynamic_j_per_flit
-
-    link_static = 0.0
-    link_dynamic = 0.0
-    for link_id in range(topo.n_links):
-        fig = evaluate_link(link_config_for(topo, link_id))
-        link_static += fig.static_w
-        link_dynamic += flows.link_flow[link_id] * clock_hz * fig.dynamic_j_per_flit
+    cols = _figure_columns(topo)
     return NetworkPower(
-        router_static_w=router_static,
-        link_static_w=link_static,
-        router_dynamic_w=router_dynamic,
-        link_dynamic_w=link_dynamic,
+        router_static_w=float(_ordered_sum(cols.router_static_w)),
+        link_static_w=float(_ordered_sum(cols.link_static_w)),
+        router_dynamic_w=_ordered_sum(
+            flows.router_flow * clock_hz * cols.router_dynamic_j
+        ),
+        link_dynamic_w=_ordered_sum(flows.link_flow * clock_hz * cols.link_dynamic_j),
     )
 
 
 def network_area_m2(topo: Topology) -> float:
     """Total layout area: routers + all link directions, m²."""
-    total = 0.0
-    for node in range(topo.n_nodes):
-        total += evaluate_router(router_config_for_node(topo, node)).area_m2
-    for link_id in range(topo.n_links):
-        total += evaluate_link(link_config_for(topo, link_id)).area_m2
-    return total
+    cols = _figure_columns(topo)
+    return float(
+        _ordered_sum(np.concatenate((cols.router_area_m2, cols.link_area_m2)))
+    )
 
 
 def trace_dynamic_energy_j(
@@ -263,14 +303,8 @@ def trace_dynamic_energy_j(
     """
     counts = trace.flit_count_matrix() if isinstance(trace, Trace) else trace
     flows = assign_flows(topo, counts, routing)
-
-    router_j = 0.0
-    for node in range(topo.n_nodes):
-        rf = evaluate_router(router_config_for_node(topo, node))
-        router_j += flows.router_flow[node] * rf.dynamic_j_per_flit
-
-    link_j = 0.0
-    for link_id in range(topo.n_links):
-        fig = evaluate_link(link_config_for(topo, link_id))
-        link_j += flows.link_flow[link_id] * fig.dynamic_j_per_flit
-    return NetworkEnergy(router_dynamic_j=router_j, link_dynamic_j=link_j)
+    cols = _figure_columns(topo)
+    return NetworkEnergy(
+        router_dynamic_j=_ordered_sum(flows.router_flow * cols.router_dynamic_j),
+        link_dynamic_j=_ordered_sum(flows.link_flow * cols.link_dynamic_j),
+    )

@@ -1262,15 +1262,10 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         drain_budget=args.drain_budget,
         seed=args.seed,
     )[0]
-    profiles = profile_simulation(scenario)
-    if args.engine != "both":
-        profiles = {k: v for k, v in profiles.items() if k == args.engine}
-        if not profiles:
-            print(
-                f"error: the {args.engine} engine cannot run this scenario",
-                file=sys.stderr,
-            )
-            return 2
+    # The CLI's saturation-sweep point is never hooked, so the batched
+    # engine can always run it.
+    engines = ("interpreter", "batched") if args.engine == "both" else (args.engine,)
+    profiles = profile_simulation(scenario, engines)
     if args.json:
         print(
             json.dumps(

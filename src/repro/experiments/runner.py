@@ -64,12 +64,13 @@ _log = get_logger("experiments.runner")
 def _materialize(spec: TopologySpec) -> tuple[Topology, RoutingTable]:
     """Build (topology, routing) once per distinct spec in this process.
 
-    Multi-point sweeps share one topology across many scenarios; reusing
-    the routing table keeps its LUT and flat all-pairs path arrays
-    instead of rebuilding them per point (the routing-table build is a
-    tracked hot path). Sharing is safe: both objects are immutable with
-    respect to evaluation, and the lazily built path arrays are
-    deterministic.
+    Multi-point sweeps share one topology across many scenarios (rates,
+    seeds, traffic). The routing table is a view of its link geometry's
+    route set, which :class:`RoutingTable` compiles once per geometry
+    for all specs that share it (the Fig. 5 grid's technologies), so a
+    spec evicted here rebuilds only its topology and view. Sharing is
+    safe: both objects are immutable with respect to evaluation, and the
+    shared route arrays are read-only and deterministic.
     """
     topo = spec.build()
     return topo, RoutingTable(topo)

@@ -15,13 +15,14 @@ falsy check per phase boundary — no clock reads, no allocation — and the
 golden-SimStats tests stay bit-identical.
 
 :func:`profile_simulation` is the one-call helper behind
-``repro obs profile``: evaluate one scenario under each engine and
-return the populated profiles; :func:`render_profiles` renders them as
+``repro obs profile``: evaluate one scenario under each engine asked
+for and return the populated profiles; :func:`render_profiles` renders them as
 an aligned per-phase table with percent-of-total columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -101,23 +102,31 @@ class PhaseProfile:
         }
 
 
-def profile_simulation(scenario: Any) -> dict[str, PhaseProfile]:
-    """Run ``scenario`` under both engines with profiling enabled.
+def profile_simulation(
+    scenario: Any, engines: Sequence[str] = ("interpreter", "batched")
+) -> dict[str, PhaseProfile]:
+    """Run ``scenario`` under each of ``engines`` with profiling enabled.
 
-    Returns ``{"interpreter": PhaseProfile, "batched": PhaseProfile}``.
-    Each half is the run the runner evaluates on that engine:
+    Returns ``{engine: PhaseProfile}``, by default for both engines.
+    Each entry is the run the runner evaluates on that engine:
     :func:`~repro.experiments.runner.simulate_scenario` (telemetry,
     closed-loop and controller hooks included) and a one-point
     :func:`~repro.experiments.runner.simulate_lockstep` chunk. The
     batched entry is omitted where ``SimSpec.can_lockstep`` is false, as
-    in the runner's planner. Imports lazily so :mod:`repro.obs` never
-    drags the simulation stack in at import time (and stays cycle-free).
+    in the runner's planner. An engine not asked for is not run. Imports
+    lazily so :mod:`repro.obs` never drags the simulation stack in at
+    import time (and stays cycle-free).
     """
     from repro.experiments.runner import simulate_lockstep, simulate_scenario
 
-    out = {"interpreter": PhaseProfile(engine="interpreter")}
-    simulate_scenario(scenario, profile=out["interpreter"])
-    if scenario.sim.can_lockstep:
+    unknown = sorted(set(engines) - set(_PHASE_ORDER))
+    if unknown:
+        raise ValueError(f"unknown engine(s) {unknown}; choose from {sorted(_PHASE_ORDER)}")
+    out: dict[str, PhaseProfile] = {}
+    if "interpreter" in engines:
+        out["interpreter"] = PhaseProfile(engine="interpreter")
+        simulate_scenario(scenario, profile=out["interpreter"])
+    if "batched" in engines and scenario.sim.can_lockstep:
         out["batched"] = PhaseProfile(engine="batched")
         simulate_lockstep([scenario], profile=out["batched"])
     return out

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from repro.optical.router import (
     OpticalRouterModel,
     optical_router_for,
@@ -90,36 +92,93 @@ class PathLossModel:
         loss += self.router.loss_db(assign[in_dir], assign[_LOCAL])
         return loss
 
+    def _pair_losses(self) -> np.ndarray:
+        """:meth:`path_loss_db` of every pair, dB, indexed ``src * n + dst``.
+
+        Reduces over the routing table's flat paths instead of walking
+        each pair: a hop's direction comes from its link's endpoints and
+        its fabric loss from a 5x5 table of (in, out) direction losses.
+        Each pair's terms are added in :meth:`path_loss_db`'s order
+        (fixed + propagation, hop losses, exit) by one ``bincount``, so
+        every loss is bit-identical to it. The diagonal reads 0.
+
+        Raises:
+            ValueError: if any hop maps to an illegal (u-turn) port pair.
+        """
+        topo, flat = self.topology, self.routing.flat_paths
+        n, w = topo.n_nodes, topo.width
+        src = np.fromiter((l.src for l in topo.links), np.int64, topo.n_links)
+        dst = self.routing.link_dst
+        sx, sy, dx, dy = src % w, src // w, dst % w, dst // w
+        # Each link's direction of travel, tested in _direction's order.
+        direction = np.select(
+            [dy < sy, dx > sx, dy > sy, dx < sx], [0, 1, 2, 3], default=_LOCAL
+        )
+        assign, dirs = self.assignment, range(_LOCAL + 1)
+        table = np.array(
+            [
+                [self.router.loss_db(assign[i], assign[o]) if i != o else np.nan
+                 for o in dirs]
+                for i in dirs
+            ]
+        )
+
+        # A hop enters its router from the Local port (first hop) or from
+        # the direction opposite the previous hop's.
+        routed = np.flatnonzero(flat.length)
+        out_dir = direction[flat.link]
+        in_dir = np.empty_like(out_dir)
+        in_dir[1:] = (out_dir[:-1] + 2) % 4
+        in_dir[flat.start[routed]] = _LOCAL
+        last_out = out_dir[flat.start[routed] + flat.length[routed] - 1]
+        hop_loss = table[in_dir, out_dir]
+        exit_loss = table[(last_out + 2) % 4, _LOCAL]
+        if np.isnan(hop_loss).any():
+            k = int(np.flatnonzero(np.isnan(hop_loss))[0])
+            self.router.loss_db(assign[in_dir[k]], assign[out_dir[k]])  # raises
+
+        p = self.params
+        link_length = np.fromiter(
+            (l.length_m for l in topo.links), np.float64, topo.n_links
+        )
+        route_length = np.bincount(
+            flat.pair, weights=link_length[flat.link], minlength=n * n
+        )[routed]
+        lengths, which = np.unique(route_length, return_inverse=True)
+        propagation = np.array([p.propagation_loss_db(x) for x in lengths.tolist()])
+        head = p.total_fixed_loss_db() + propagation[which]
+        return np.bincount(
+            np.concatenate((routed, flat.pair, routed)),
+            weights=np.concatenate((head, hop_loss, exit_loss)),
+            minlength=n * n,
+        )
+
     def average_loss_db(self, traffic_matrix) -> float:
         """Traffic-weighted mean path loss, dB."""
         m = traffic_matrix.matrix
         total = m.sum()
         if total == 0:
             raise ValueError("zero traffic")
-        weighted = 0.0
-        n = self.topology.n_nodes
-        for s in range(n):
-            for d in range(n):
-                if m[s, d] > 0:
-                    weighted += m[s, d] * self.path_loss_db(s, d)
+        rates = m.ravel()
+        used = rates > 0
+        if np.any(used.reshape(m.shape).diagonal()):
+            raise ValueError("no optical path to self")
+        # A left-to-right sum, as the per-pair loop it replaced added.
+        weighted = np.cumsum(rates[used] * self._pair_losses()[used])[-1]
         return float(weighted / total)
 
     def worst_case_loss_db(self) -> float:
         """Maximum loss over all pairs (sets the laser power budget)."""
-        n = self.topology.n_nodes
+        topo = self.topology
         # Corner-to-corner routes dominate; checking the four corners
         # against all nodes covers the maximum for X-Y routing.
         corners = [
-            self.topology.node_id(0, 0),
-            self.topology.node_id(self.topology.width - 1, 0),
-            self.topology.node_id(0, self.topology.height - 1),
-            self.topology.node_id(self.topology.width - 1, self.topology.height - 1),
+            topo.node_id(0, 0),
+            topo.node_id(topo.width - 1, 0),
+            topo.node_id(0, topo.height - 1),
+            topo.node_id(topo.width - 1, topo.height - 1),
         ]
-        worst = 0.0
-        for c in corners:
-            for d in range(n):
-                if d != c:
-                    worst = max(
-                        worst, self.path_loss_db(c, d), self.path_loss_db(d, c)
-                    )
-        return worst
+        # A corner's own diagonal entry reads 0, which the 0.0 floor
+        # already covers.
+        loss = self._pair_losses().reshape(topo.n_nodes, topo.n_nodes)
+        return max(0.0, float(loss[corners].max()), float(loss[:, corners].max()))

@@ -24,7 +24,9 @@ The whole routing function is held as arrays: a dense next-link LUT
 all-pairs paths flattened into pair-major link arrays
 (:class:`FlatPaths`) read by the analytical flow, latency and power
 evaluation. The per-pair ``path``/``next_link`` accessors are views of
-those arrays.
+those arrays. Routes depend only on the link geometry (the grid and each
+link's endpoints and express flag), so the arrays are compiled once per
+geometry and shared, read-only, by every :class:`RoutingTable` over it.
 
 Deadlock note: detour routes create torus-like cyclic channel dependencies
 in a wormhole network; the simulator breaks them with dateline VC classes
@@ -34,7 +36,7 @@ in a wormhole network; the simulator breaks them with dateline VC classes
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -46,24 +48,26 @@ __all__ = ["route_path", "FlatPaths", "RoutingTable"]
 LineGraph = dict[int, list[tuple[int, bool]]]
 
 
-def _line_graphs(topo: Topology) -> tuple[list[LineGraph], list[LineGraph]]:
+def _line_graphs(
+    width: int, height: int, links: tuple[tuple[int, int, bool], ...]
+) -> tuple[list[LineGraph], list[LineGraph]]:
     """Adjacency of every grid line: position -> [(next_pos, is_express)].
 
     Returns ``(rows, cols)``: ``rows[y]`` over column positions and
-    ``cols[x]`` over row positions, built in one pass over the links.
-    Lines are handled individually so heterogeneous express placements
-    (different rows owning different express links) route correctly.
+    ``cols[x]`` over row positions, built in one pass over the
+    ``(src, dst, is_express)`` links. Lines are handled individually so
+    heterogeneous express placements (different rows owning different
+    express links) route correctly.
     """
-    rows: list[LineGraph] = [
-        {c: [] for c in range(topo.width)} for _ in range(topo.height)
-    ]
-    cols: list[LineGraph] = [
-        {r: [] for r in range(topo.height)} for _ in range(topo.width)
-    ]
-    for link in topo.links:
-        sx, sy = topo.coords(link.src)
-        dx, dy = topo.coords(link.dst)
-        express = link.kind is LinkKind.EXPRESS
+    n = width * height
+    rows: list[LineGraph] = [{c: [] for c in range(width)} for _ in range(height)]
+    cols: list[LineGraph] = [{r: [] for r in range(height)} for _ in range(width)]
+    for src, dst, express in links:
+        for node in (src, dst):
+            if not 0 <= node < n:
+                raise ValueError(f"node {node} outside 0..{n - 1}")
+        sy, sx = divmod(src, width)
+        dy, dx = divmod(dst, width)
         if sy == dy:
             rows[sy][sx].append((dx, express))
         elif sx == dx:
@@ -71,7 +75,7 @@ def _line_graphs(topo: Topology) -> tuple[list[LineGraph], list[LineGraph]]:
     return rows, cols
 
 
-def _line_next_hop_table(adj: LineGraph) -> list[list[int]]:
+def _line_next_hop_table(adj: LineGraph) -> tuple[tuple[int, ...], ...]:
     """``next_pos[cur][dst]`` for one grid line (-1 when cur == dst).
 
     BFS distances from every destination; among shortest-path neighbours
@@ -117,7 +121,7 @@ def _line_next_hop_table(adj: LineGraph) -> list[list[int]]:
                 return (order, nxt)
 
             table[cur][dst] = min(candidates, key=rank)[0]
-    return table
+    return tuple(map(tuple, table))
 
 
 def route_path(topo: Topology, src: int, dst: int) -> list[Link]:
@@ -148,44 +152,58 @@ class FlatPaths(NamedTuple):
     start: np.ndarray
 
 
-class RoutingTable:
-    """All-pairs deterministic router for one topology.
+#: A topology's routing-relevant shape: ``(width, height, ((src, dst,
+#: is_express) per link id))``. Routes read nothing else (not a link's
+#: technology or length), so topologies with one key share one route set.
+GeometryKey = tuple[int, int, tuple[tuple[int, int, bool], ...]]
+
+
+def _geometry_key(topo: Topology) -> GeometryKey:
+    express = LinkKind.EXPRESS
+    return (
+        topo.width,
+        topo.height,
+        tuple((l.src, l.dst, l.kind is express) for l in topo.links),
+    )
+
+
+class _Routes:
+    """The compiled routes of one link geometry, shared and read-only.
 
     Per-line next-hop tables (X phase along the row, then Y along the
     column) are compiled into :attr:`route_lut`; :attr:`flat_paths` walks
     every pair through it in lockstep, once, on first use.
     """
 
-    def __init__(self, topo: Topology):
-        self.topology = topo
-        rows, cols = _line_graphs(topo)
+    def __init__(self, key: GeometryKey):
+        width, height, links = key
+        self.width, self.height = width, height
+        rows, cols = _line_graphs(width, height, links)
         # Lines with identical link sets share one BFS (every row of a
         # uniform express mesh does).
-        tables: dict[tuple, list[list[int]]] = {}
+        tables: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
-        def table(adj: LineGraph) -> list[list[int]]:
+        def table(adj: LineGraph) -> tuple[tuple[int, ...], ...]:
             key = tuple(map(tuple, adj.values()))
             if key not in tables:
                 tables[key] = _line_next_hop_table(adj)
             return tables[key]
 
-        self._row_next = [table(adj) for adj in rows]
-        self._col_next = [table(adj) for adj in cols]
-        #: Per-link destination node.
+        self.row_next = tuple(table(adj) for adj in rows)
+        self.col_next = tuple(table(adj) for adj in cols)
         self.link_dst = np.fromiter(
-            (l.dst for l in topo.links), dtype=np.int64, count=topo.n_links
+            (dst for _, dst, _ in links), dtype=np.int64, count=len(links)
         )
-        #: ``route_lut[node, dst]``: the link id a router at ``node``
-        #: forwards toward ``dst`` (-1 on the diagonal).
-        self.route_lut = self._build_lut()
+        self.link_dst.flags.writeable = False
+        self.route_lut = self._build_lut(links)
 
-    def _build_lut(self) -> np.ndarray:
-        topo = self.topology
-        w, h, n = topo.width, topo.height, topo.n_nodes
+    def _build_lut(self, links: tuple[tuple[int, int, bool], ...]) -> np.ndarray:
+        w, h = self.width, self.height
+        n = w * h
         # Links sorted by (src, dst) key; the stable sort puts the lowest
         # id first among parallel links, which is the one routing takes.
         link_keys = np.fromiter(
-            (l.src * n + l.dst for l in topo.links), dtype=np.int64, count=topo.n_links
+            (src * n + dst for src, dst, _ in links), dtype=np.int64, count=len(links)
         )
         order = np.argsort(link_keys, kind="stable")
         sorted_keys = link_keys[order]
@@ -201,8 +219,8 @@ class RoutingTable:
             return np.where(valid, order[pos], -1)
 
         xs, ys = np.arange(w), np.arange(h)
-        row_next = np.asarray(self._row_next, dtype=np.int64)  # [y, cx, dx]
-        col_next = np.asarray(self._col_next, dtype=np.int64)  # [x, cy, dy]
+        row_next = np.asarray(self.row_next, dtype=np.int64)  # [y, cx, dx]
+        col_next = np.asarray(self.col_next, dtype=np.int64)  # [x, cy, dy]
         # The X step from (cx, y) toward column dx, and the Y step from
         # (x, cy) toward row dy.
         row_link = step_links(
@@ -227,14 +245,13 @@ class RoutingTable:
     @cached_property
     def flat_paths(self) -> FlatPaths:
         """Every pair's path, walked in lockstep through the LUT."""
-        topo = self.topology
-        n = topo.n_nodes
+        n = self.width * self.height
         src, dst = np.nonzero(~np.eye(n, dtype=bool))
         pair = src * n + dst
         cur = src
         hop_pairs: list[np.ndarray] = []
         hop_links: list[np.ndarray] = []
-        limit = 4 * (topo.width + topo.height)
+        limit = 4 * (self.width + self.height)
         while pair.size:
             if len(hop_pairs) == limit:  # pragma: no cover - LUT invariant
                 s, d = divmod(int(pair[0]), n)
@@ -259,6 +276,44 @@ class RoutingTable:
         for arr in flat:
             arr.flags.writeable = False
         return flat
+
+
+@lru_cache(maxsize=8)
+def _compiled_routes(key: GeometryKey) -> _Routes:
+    """One route set per link geometry in this process, LRU-bounded.
+
+    A sweep over technologies or link lengths on one geometry (the
+    Fig. 5 grid's bases and express flavours) compiles its LUT and walks
+    its flat paths once, not once per topology.
+    """
+    return _Routes(key)
+
+
+class RoutingTable:
+    """All-pairs deterministic router for one topology.
+
+    A per-topology view of the routes of the topology's link geometry:
+    :attr:`route_lut`, :attr:`link_dst` and :attr:`flat_paths` are the
+    read-only arrays of one shared route set, compiled once per
+    :data:`GeometryKey` (see :func:`_compiled_routes`).
+    """
+
+    def __init__(self, topo: Topology):
+        self.topology = topo
+        routes = _compiled_routes(_geometry_key(topo))
+        self._routes = routes
+        self._row_next = routes.row_next
+        self._col_next = routes.col_next
+        #: Per-link destination node.
+        self.link_dst = routes.link_dst
+        #: ``route_lut[node, dst]``: the link id a router at ``node``
+        #: forwards toward ``dst`` (-1 on the diagonal).
+        self.route_lut = routes.route_lut
+
+    @property
+    def flat_paths(self) -> FlatPaths:
+        """Every pair's path (pair-major, hop-minor), built on first use."""
+        return self._routes.flat_paths
 
     def _pair(self, src: int, dst: int) -> int:
         n = self.topology.n_nodes

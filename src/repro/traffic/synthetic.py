@@ -52,11 +52,13 @@ def _geometric_destination_weights(topo: Topology, p: float) -> np.ndarray:
     # At each distance d there are several candidate nodes; the geometric
     # "journey" terminates at ONE node of that ring, so the per-node weight
     # divides by the ring population.
-    n = topo.n_nodes
-    ring_sizes = np.zeros_like(weights)
-    for s in range(n):
-        counts = np.bincount(dist[s], minlength=int(dist.max()) + 1)
-        ring_sizes[s] = counts[dist[s]]
+    # counts[s, d]: nodes at distance d from s, tallied for every source
+    # in one bincount over (source, distance) bins.
+    n, rings = topo.n_nodes, int(dist.max()) + 1
+    counts = np.bincount(
+        (np.arange(n)[:, None] * rings + dist).ravel(), minlength=n * rings
+    ).reshape(n, rings)
+    ring_sizes = np.take_along_axis(counts, dist, axis=1).astype(np.float64)
     weights = np.divide(weights, ring_sizes, out=np.zeros_like(weights), where=ring_sizes > 0)
     row_sums = weights.sum(axis=1, keepdims=True)
     return weights / row_sums

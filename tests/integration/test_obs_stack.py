@@ -174,6 +174,27 @@ class TestCliProfile:
         assert "vc_alloc" in out and "% covered" in out
         assert "alloc_traversal" not in out  # batched engine filtered out
 
+    @pytest.mark.parametrize("engine", ["interpreter", "batched"])
+    def test_obs_profile_runs_only_the_named_engine(self, engine, capsys, monkeypatch):
+        from repro.cli import main
+        from repro.simulation.batch import BatchSimulator
+        from repro.simulation.simulator import Simulator
+
+        calls = []
+        for cls, name in ((BatchSimulator, "run_batch"), (Simulator, "run")):
+            real = getattr(cls, name)
+
+            def watched(self, *args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, watched)
+        argv = ["obs", "profile", "--rate", "0.1", "--width", "4", "--height", "4"]
+        rc = main([*argv, "--cycles", "200", "--engine", engine, "--json"])
+        assert rc == 0
+        assert set(json.loads(capsys.readouterr().out)) == {engine}
+        assert calls == ["run" if engine == "interpreter" else "run_batch"]
+
 
 class TestHttpObservability:
     def test_metrics_and_spans_round_trip(self, live):

@@ -21,7 +21,7 @@ from repro.optical import (
     setup_transfer_latency,
 )
 from repro.tech import Technology
-from repro.topology import RoutingTable, build_mesh
+from repro.topology import RoutingTable, build_mesh, build_row_torus
 from repro.traffic import uniform_traffic
 
 
@@ -146,6 +146,36 @@ class TestPathLoss:
     def test_worst_case_at_least_average(self, hyppi_loss):
         tm = uniform_traffic(hyppi_loss.topology)
         assert hyppi_loss.worst_case_loss_db() >= hyppi_loss.average_loss_db(tm)
+
+    @pytest.mark.parametrize("tech", [Technology.PHOTONIC, Technology.HYPPI])
+    def test_pair_losses_equal_path_loss_db(self, tech):
+        # The flat-path reduction against the per-pair walk, bit for bit,
+        # on a non-square mesh with uneven link lengths.
+        topo = build_mesh(7, 5, link_technology=tech, core_spacing_m=1.3e-3)
+        model = PathLossModel(topology=topo, technology=tech, routing=RoutingTable(topo))
+        n = topo.n_nodes
+        expected = [
+            model.path_loss_db(s, d) if s != d else 0.0
+            for s in range(n)
+            for d in range(n)
+        ]
+        assert [float(x).hex() for x in model._pair_losses()] == [
+            x.hex() for x in expected
+        ]
+
+    def test_uturn_route_rejected(self):
+        # A row torus routes 1 -> 5 west to column 0 and then east over
+        # the wrap link: a u-turn the optical router cannot make.
+        topo = build_row_torus(6, 2, base_technology=Technology.HYPPI)
+        model = PathLossModel(
+            topology=topo, technology=Technology.HYPPI, routing=RoutingTable(topo)
+        )
+        with pytest.raises(ValueError, match="u-turn"):
+            model.path_loss_db(1, 5)
+        with pytest.raises(ValueError, match="u-turn"):
+            model.average_loss_db(uniform_traffic(topo))
+        with pytest.raises(ValueError, match="u-turn"):
+            model.worst_case_loss_db()
 
     def test_electronic_rejected(self):
         topo = build_mesh()

@@ -24,11 +24,13 @@ GOLDEN_SHA256 = {
         "golden_simstats.json":
             "4dd16a916cfce8b8950c4cf921485a0c3289a04268bdd3453c7d30b2815fadf8",
         "golden_fig5a_analytical.json":
-            "9c9bc5500bf36c282bde71603ac0e0ad25553001fa45f20c5278b9eccf74ef28",
+            "d20bafb74cbf753d3710faf648bea4fbe20efeadab4129760acc891a16ecbb61",
         "golden_hooked_simstats.json":
             "edac450b7e9dc7fdf5042858e645665c28fd270ed75679a7ffe0fc47d88e872a",
         "golden_traces.json":
             "be59da8d646882913dabe9714fafc6d49c4b039f6e1bd8ed1827ebc070e340d2",
+        "golden_fig8_projection.json":
+            "b14878b758aa05c27d0c2b389ecbea424a08af2e05b94ad2feeee8f883ab552d",
     },
 }
 
